@@ -5,6 +5,8 @@ Runs the noiseless c-grid sweep (p11 = c * ln n / n, p01 = p10 = 0),
 writes the per-cell CSV and a threshold plot, and prints a summary table.
 The enumeration cap is n itself: up to n = 10 each trial runs the n! scan,
 and past it noiseless trials are scored by counting automorphisms.
+An eralign error, such as a noisy grid past n = 10, prints `error: ...`
+and exits 2.
 
 Example:
     python3 scripts/run_threshold_sweep.py --out results/ --trials 500
@@ -17,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from eralign.errors import USAGE_ERRORS
 from eralign.experiment import CGrid, SweepConfig, emit_plot, run_sweep
 
 
@@ -39,19 +42,23 @@ def main() -> int:
     csv_path = outdir / f"threshold_n{args.n}.csv"
     svg_path = outdir / f"threshold_n{args.n}.svg"
 
-    cfg = SweepConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        grid=CGrid(tuple(float(c) for c in args.c_grid.split(",")), args.noise),
-        out=str(csv_path),
-        threads=args.threads,
-        cap=args.n,
-    )
-    t0 = time.perf_counter()
-    result = run_sweep(cfg)
-    elapsed = time.perf_counter() - t0
-    emit_plot(csv_path, svg_path)
+    try:
+        cfg = SweepConfig(
+            n=args.n,
+            trials=args.trials,
+            seed=args.seed,
+            grid=CGrid(tuple(float(c) for c in args.c_grid.split(",")), args.noise),
+            out=str(csv_path),
+            threads=args.threads,
+            cap=args.n,
+        )
+        t0 = time.perf_counter()
+        result = run_sweep(cfg)
+        elapsed = time.perf_counter() - t0
+        emit_plot(csv_path, svg_path)
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"n={args.n}, {args.trials} trials/cell, seed={args.seed}, {elapsed:.1f}s")
     print(f"{'cell':>8} {'p11':>8} {'strict':>7} {'mean eta':>9} {'mean |Q|':>10} {'mean aut':>10}")

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import comb, exp, log, log1p, sqrt
 from typing import Dict, Optional, Union
 
-from scipy.stats import binom as _binom
-
 from .errors import DomainError, ParameterError
 from .genfunc import WMatrix
 from .model import PVec
@@ -335,8 +333,11 @@ def average_over_edge_count(
     if p11 == 0:
         tail = 0.0
     else:
+        # imported here: scipy.stats is most of the package's import time
+        from scipy.stats import binom
+
         cutoff = math.floor((1 + eps) * t * p11)
-        tail = float(_binom.sf(cutoff, t, p11))
+        tail = float(binom.sf(cutoff, t, p11))
     value = main + tail
     return BoundReport(
         name="averaged-bound",

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bnd
-from .errors import CapExceededError, ConfigError, DomainError, ParameterError
+from .errors import USAGE_ERRORS, ConfigError, ParameterError
 from .estimator import automorphism_count, isolated_count, map_estimate
 from .experiment import SweepConfig, CGrid, emit_plot, run_sweep, verify_gf
 from .genfunc import WMatrix
@@ -108,6 +108,7 @@ def _cmd_sweep(args) -> int:
             grid=CGrid(tuple(float(c) for c in args.c_grid.split(",")), args.noise),
             out=args.out,
             threads=args.threads if args.threads else 1,
+            cap=args.cap if args.cap is not None else DEFAULT_ENUM_CAP,
         )
     overrides = {}
     if args.config:
@@ -117,6 +118,8 @@ def _cmd_sweep(args) -> int:
             overrides["out"] = args.out
         if args.threads is not None:
             overrides["threads"] = args.threads
+        if args.cap is not None:
+            overrides["cap"] = args.cap
         if overrides:
             from dataclasses import replace
 
@@ -213,6 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c-grid", type=str, default=None, help="comma list of c values")
     s.add_argument("--noise", type=float, default=0.0)
     s.add_argument("--plot", type=str, default=None, help="also emit an SVG")
+    s.add_argument(
+        "--cap", type=int, default=None,
+        help=f"refuse any n above this (default {DEFAULT_ENUM_CAP})",
+    )
     s.set_defaults(func=_cmd_sweep)
 
     v = sub.add_parser("verify-gf", help="run the generating-function identity suites")
@@ -262,7 +269,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, DomainError, ConfigError, CapExceededError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

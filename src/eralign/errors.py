@@ -15,3 +15,7 @@ class CapExceededError(RuntimeError):
 
 class ConfigError(ValueError):
     """A sweep configuration or input file is malformed."""
+
+
+#: the errors a caller reports as bad input or an exceeded limit (exit 2)
+USAGE_ERRORS = (ParameterError, DomainError, CapExceededError, ConfigError)

@@ -228,15 +228,15 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     pi = Permutation.random(n, rng)
     gc = anonymize(ga, pi)
     deltas = hamming_scan(gc.bits, gb.bits, n, cap=cap)
-    res = _alignment_from_deltas(deltas, n, pi)
-    planted_score = int(deltas[lex_rank(pi.images)])
+    planted_idx = lex_rank(pi.images)
+    planted_score = int(deltas[planted_idx])
+    res = _alignment_from_deltas(deltas, n, planted_score)
     if len(deltas) > 1:
-        two = np.partition(deltas, 1)[:2]
-        dmin = int(two[0])
-        if planted_score == dmin and res.tie_count == 1:
-            min_other = int(two[1])
+        # the best score among the other permutations
+        if res.strict_success:  # the planted permutation is the only minimizer
+            min_other = int(np.delete(deltas, planted_idx).min())
         else:
-            min_other = dmin
+            min_other = res.min_delta_hamming
         min_delta_nonid = (min_other - planted_score) // 2
     else:
         min_delta_nonid = 0
@@ -244,9 +244,9 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     m = int(gw_bits.sum())
     if np.array_equal(ga_bits, gb_bits):
         # then ga AND gb = ga and the scan already visited every relabeling of it
-        aut = int((deltas == 0).sum())
+        aut = int(np.count_nonzero(deltas == 0))
     else:
-        aut = int((hamming_scan(gw_bits, gw_bits, n, cap=cap) == 0).sum())
+        aut = int(np.count_nonzero(hamming_scan(gw_bits, gw_bits, n, cap=cap) == 0))
     return TrialResult(
         cell=cell_id,
         seed=seed,

@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import eralign as ea
 from eralign.cli import main
+from eralign.experiment import CGrid, SweepConfig, run_sweep
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +123,50 @@ def test_sweep_invalid_cell_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     assert "c=9.5" in err
+
+
+def test_sweep_cap_flag(tmp_path, capsys):
+    # criterion 6's c = 4 cell at n = 16, past the default cap of 10
+    argv = ["sweep", "--n", "16", "--trials", "5", "--seed", "20250809", "--c-grid", "4"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "cap 10" in err
+    code, out, _ = run_cli(capsys, *argv, "--cap", "16")
+    assert code == 0
+    want = run_sweep(SweepConfig(n=16, trials=5, seed=20250809, grid=CGrid((4.0,)), cap=16))
+    assert out == want.csv_text
+
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"n": 16, "trials": 5, "seed": 20250809, "grid": {"kind": "c_grid", "c": [4]}}
+    ))
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_file))
+    assert code == 2
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg_file), "--cap", "16")
+    assert code == 0
+    assert out == want.csv_text
+
+
+def run_threshold_script(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(ea.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_threshold_sweep.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_threshold_script_reports_errors(tmp_path):
+    # a noisy pair at n = 16 needs an n! scan, which the byte budget refuses
+    proc = run_threshold_script("--n", "16", "--noise", "0.01", "--trials", "2",
+                                "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "byte budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    proc = run_threshold_script("--n", "6", "--trials", "2", "--c-grid", "0.5,2",
+                                "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "threshold_n6.csv").exists()
 
 
 def test_verify_gf_command(capsys):

@@ -1,5 +1,10 @@
 """Exhaustive MAP estimation, Q-set counting, automorphisms."""
 
+import functools
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import factorial, log
 
@@ -9,12 +14,14 @@ import pytest
 import eralign as ea
 from eralign import estimator
 from eralign.errors import CapExceededError, ParameterError
+from eralign.experiment import CGrid
 from eralign.model import rng_from_seed
 
 TRIANGLE = ea.Graph.complete(3)
 PATH3 = ea.Graph.from_edges(3, [(0, 1), (1, 2)])
 # seven-edge asymmetric graph: the only automorphism is the identity
 RIGID6 = ea.Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (0, 4), (4, 5)])
+PATH5 = ea.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 def brute_min_hamming(gc, gb):
@@ -107,6 +114,138 @@ def test_scan_vector_matches_per_permutation_recomputation():
         for k, pi in enumerate(ea.enumerate_perms(n)):
             want = int((ga.bits[ea.lift(pi)] != gb.bits).sum())
             assert deltas[k] == want
+
+
+# ---------------------------------------------------------------------------
+# the pair-major, level-grouped scan against a row-major gather
+
+
+@functools.lru_cache(maxsize=2)
+def row_major_lift_table(n):
+    """Row k: the lifted pair permutation of the k-th permutation in lex order."""
+    perms = estimator._lex_perm_matrix(n)
+    ii, jj = ea.model.pair_array(n)
+    pidx = np.zeros((n, n), dtype=np.int8)
+    pidx[ii, jj] = np.arange(len(ii), dtype=np.int8)
+    pidx[jj, ii] = pidx[ii, jj]
+    return pidx[perms[:, ii], perms[:, jj]]
+
+
+def row_major_scan(xa, xb, n):
+    """Oracle: gather xa at the smaller of xb's edge and non-edge columns of
+    every row of the row-major table, and sum each row."""
+    lifted = row_major_lift_table(n)
+    t = len(xb)
+    ea_, eb_ = int(xa.sum()), int(xb.sum())
+    edge_cols = np.flatnonzero(xb)
+    if 2 * len(edge_cols) <= t:
+        cols, direct = edge_cols, True
+    else:
+        cols, direct = np.flatnonzero(xb == 0), False
+    if len(cols):
+        hits = xa[lifted[:, cols]].sum(axis=1, dtype=np.int32)
+    else:
+        hits = np.zeros(lifted.shape[0], dtype=np.int32)
+    mu11 = hits if direct else ea_ - hits
+    return ea_ + eb_ - 2 * mu11
+
+
+def assert_scan_matches_oracle(xa, xb, n):
+    got, want = ea.hamming_scan(xa, xb, n), row_major_scan(xa, xb, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (n, xa.tolist(), xb.tolist())
+
+
+def all_labelings(n):
+    t = ea.pair_count(n)
+    return [np.array([(mask >> k) & 1 for k in range(t)], dtype=np.uint8) for mask in range(1 << t)]
+
+
+def test_scan_matches_row_major_oracle_on_every_pair_up_to_n4():
+    for n in range(1, 5):
+        labelings = all_labelings(n)
+        for xa in labelings:
+            for xb in labelings:
+                assert_scan_matches_oracle(xa, xb, n)
+
+
+def test_scan_matches_row_major_oracle_on_every_reference_at_n5():
+    rng = rng_from_seed(55)
+    fixed = [ea.Graph.empty(5).bits, ea.Graph.complete(5).bits, PATH5.bits]
+    fixed += [random_graph(5, rng, density).bits for density in (0.2, 0.5, 0.8)]
+    for xb in all_labelings(5):
+        for xa in fixed:
+            assert_scan_matches_oracle(xa, xb, 5)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_scan_matches_row_major_oracle_on_benchmark_grids(n):
+    # the scans run_trial makes: the anonymized graph against the reference,
+    # and the intersection graph against itself when the pair differs
+    rng = rng_from_seed(7000 + n)
+    grids = (CGrid((0.25, 0.5, 1, 2, 3, 4)), CGrid((0.25, 0.5, 1, 2, 3), 0.05))
+    cells = []
+    for grid in grids:
+        for c in grid.c:
+            if c * log(n) / n + 2 * grid.noise > 1:
+                continue  # no such cell at this n
+            cells.append(CGrid((c,), grid.noise).cells(n)[0])
+    assert len(cells) == (11 if n == 9 else 10)
+    for cell in cells:
+        for _ in range(20):
+            pair = ea.sample_pair(n, cell.p, int(rng.integers(1 << 62)))
+            gc = ea.anonymize(pair.ga, ea.Permutation.random(n, rng))
+            assert_scan_matches_oracle(gc.bits, pair.gb.bits, n)
+            if pair.ga != pair.gb:
+                gw = ea.intersection(pair.ga, pair.gb)
+                assert_scan_matches_oracle(gw.bits, gw.bits, n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_scan_matches_row_major_oracle_on_extreme_densities(n):
+    # empty, complete and half-full references take the direct branch, the
+    # complement branch, and the boundary between them (2 * edges == t)
+    t = ea.pair_count(n)
+    rng = rng_from_seed(8000 + n)
+    graphs = [np.zeros(t, np.uint8), np.ones(t, np.uint8)]
+    for edges in {t // 2, (t + 1) // 2}:
+        graphs.append((np.arange(t) < edges).astype(np.uint8))
+        graphs.append(rng.permutation(graphs[-1]))
+    for xb in graphs:
+        for xa in graphs:
+            assert_scan_matches_oracle(xa, xb, n)
+
+
+def test_concurrent_first_scans_build_the_table_once(monkeypatch):
+    builds = []
+    real_build = estimator._build_lift_table
+
+    def counted_build(n):
+        builds.append(n)
+        time.sleep(0.2)  # keep the build open while the other threads ask
+        return real_build(n)
+
+    monkeypatch.setattr(estimator, "_build_lift_table", counted_build)
+    estimator._lift_table.cache_clear()
+    workers = 4  # more than the cores of a small machine
+    start = threading.Barrier(workers, timeout=30)
+
+    def scan():
+        start.wait()
+        return ea.hamming_scan(RIGID6.bits, RIGID6.bits, 6)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(scan) for _ in range(workers)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [6]
+    for res in results:
+        assert np.array_equal(res, results[0])
+    assert int((results[0] == 0).sum()) == 1
 
 
 def test_map_cap_refusal():

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 import eralign as ea
@@ -71,6 +72,39 @@ def test_trial_min_delta_sign():
         else:
             # some rival matches or beats the planted alignment
             assert tr.min_delta_nonid <= 0
+
+
+def trial_by_separate_passes(n, p, seed):
+    """Oracle: a trial's fields from its scan, one pass over the n! scores each."""
+    rng = ea.model.rng_from_seed(seed)
+    ga_bits, gb_bits = ea.model._sample_bits(n, p, rng)
+    pi = ea.Permutation.random(n, rng)
+    gc = ea.anonymize(ea.Graph(n, ga_bits), pi)
+    deltas = ea.hamming_scan(gc.bits, gb_bits, n)
+    dmin = int(deltas.min())
+    ties = int((deltas == dmin).sum())
+    score = int(deltas[ea.perms.lex_rank(pi.images)])
+    q_size = int((deltas <= score).sum())
+    strict = score == dmin and ties == 1
+    two = np.partition(deltas, 1)[:2]
+    min_other = int(two[1]) if strict else int(two[0])
+    gw = ga_bits & gb_bits
+    return (strict, q_size, Fraction(1, q_size) if score == dmin else Fraction(0),
+            (min_other - score) // 2, int(gw.sum()),
+            int((ea.hamming_scan(gw, gw, n) == 0).sum()))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_trial_fields_match_separate_passes(noise):
+    # run_trial counts with count_nonzero and finds the runner-up without a partition
+    for n in (4, 6, 8):
+        for cell in CGrid((0.25, 0.5, 1, 2), noise).cells(n):
+            for seed in range(25):
+                tr = run_trial(n, cell.p, seed)
+                got = (tr.strict_success, tr.q_size, tr.eta, tr.min_delta_nonid,
+                       tr.m_intersection, tr.aut_intersection)
+                assert [type(x) for x in got] == [bool, int, Fraction, int, int, int]
+                assert got == trial_by_separate_passes(n, cell.p, seed), (n, cell, seed)
 
 
 def test_trial_cap_refusal():
