@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from eralign.cli import parse_list
 from eralign.errors import USAGE_ERRORS
 from eralign.experiment import CGrid, SweepConfig, emit_plot, run_sweep
 
@@ -47,7 +48,7 @@ def main() -> int:
             n=args.n,
             trials=args.trials,
             seed=args.seed,
-            grid=CGrid(tuple(float(c) for c in args.c_grid.split(",")), args.noise),
+            grid=CGrid(tuple(parse_list(args.c_grid, float, "c values")), args.noise),
             out=str(csv_path),
             threads=args.threads,
             cap=args.n,

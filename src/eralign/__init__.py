@@ -35,7 +35,6 @@ from .perms import (
     t1_bounds_check,
 )
 from .genfunc import (
-    BiPoly,
     LaurentPoly,
     WMatrix,
     bin_pgf,

@@ -37,6 +37,14 @@ def _weights(w: Union[WMatrix, PVec]):
     raise ParameterError(f"expected WMatrix or PVec, got {type(w).__name__}")
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or math.inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _finite(name: str, value: float) -> float:
     value = float(value)
     if math.isnan(value):
@@ -73,7 +81,7 @@ class BoundReport:
 
         return {
             "name": self.name,
-            "value": self.value,
+            "value": conv(self.value),
             "valid": self.valid,
             "uninformative": self.uninformative,
             "inputs": conv(self.inputs),
@@ -116,11 +124,12 @@ def delta_tail_bound(w: Union[WMatrix, PVec], t_tilde: int) -> BoundReport:
     u = w00 + w01 + w10 + w11
     gap = (sqrt(w00 * w11) - sqrt(w01 * w10)) ** 2
     base = u * u - 2 * gap
-    value = base ** (t_tilde / 2)
+    value = _power(base, t_tilde / 2)
     z1 = sqrt((w01 * w10) / (w00 * w11))
     return BoundReport(
         name="delta-tail",
         value=_finite("delta-tail", value),
+        uninformative=math.isinf(value),
         inputs={"w": (w00, w01, w10, w11), "t_tilde": t_tilde},
         extras={"z1": z1, "base": base},
     )
@@ -194,7 +203,9 @@ def conditional_tail_bound(
     valid = (1 - p11) * q * p00 >= p01 * p10
     first = 1.0 if m_tilde == 0 else (m_tilde / (t_tilde * q)) ** m_tilde
     alpha_scaled = (1 + q) ** 2 - 2 * (sqrt(pp00 * q) - sqrt(pp01 * pp10)) ** 2
-    value = first * alpha_scaled ** (t_tilde / 2)
+    power = _power(alpha_scaled, t_tilde / 2)
+    # an overflowed power stays inf, even where the first factor underflowed to 0
+    value = first * power if math.isfinite(power) else math.inf
     extras = {"alpha_scaled": alpha_scaled, "first_factor": first, "tilt_q": q}
     if p11 > 0:
         extras["w_star"] = q * (1 - p11) / p11

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import bounds as bnd
 from .errors import USAGE_ERRORS, ConfigError, ParameterError
@@ -26,21 +27,26 @@ from .model import (
 from .perms import DEFAULT_ENUM_CAP, Permutation
 
 
-def _parse_pvec(text: str) -> PVec:
+def parse_list(text: str, convert, what: str, count: Optional[int] = None) -> list:
+    """Convert the entries of a comma-separated list; a bad entry or count raises ParameterError."""
     parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 4:
-        raise ParameterError(f"expected 4 comma-separated probabilities, got {text!r}")
-    fracs = [Fraction(s) for s in parts]
+    if count is not None and len(parts) != count:
+        raise ParameterError(f"expected {count} comma-separated {what}, got {text!r}")
+    try:
+        return [convert(s) for s in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
+def _parse_pvec(text: str) -> PVec:
+    fracs = parse_list(text, Fraction, "probabilities", 4)
     if sum(fracs) == 1:
         return PVec(*fracs)
     return PVec(*(float(f) for f in fracs))
 
 
 def _parse_wmatrix(text: str) -> WMatrix:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 4:
-        raise ParameterError(f"expected 4 comma-separated weights, got {text!r}")
-    return WMatrix(*(Fraction(s) for s in parts))
+    return WMatrix(*parse_list(text, Fraction, "weights", 4))
 
 
 def _read_graph(path: str) -> Graph:
@@ -50,7 +56,7 @@ def _read_graph(path: str) -> Graph:
 
 def _cmd_gen(args) -> int:
     if args.subsampling:
-        r, sa, sb = (float(x) for x in args.subsampling.split(","))
+        r, sa, sb = parse_list(args.subsampling, float, "subsampling parameters r,sa,sb", 3)
         p = subsampling_to_pvec(SubsamplingParams(r, sa, sb))
     else:
         p = _parse_pvec(args.p)
@@ -105,7 +111,7 @@ def _cmd_sweep(args) -> int:
             n=args.n,
             trials=args.trials,
             seed=args.seed if args.seed is not None else 0,
-            grid=CGrid(tuple(float(c) for c in args.c_grid.split(",")), args.noise),
+            grid=CGrid(tuple(parse_list(args.c_grid, float, "c values")), args.noise),
             out=args.out,
             threads=args.threads if args.threads else 1,
             cap=args.cap if args.cap is not None else DEFAULT_ENUM_CAP,

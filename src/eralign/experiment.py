@@ -161,15 +161,19 @@ class SweepConfig:
             kind = grid_spec["kind"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"config missing grid.kind: {exc}") from exc
+        def listed(key):
+            value = grid_spec.get(key)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"grid.{key} must be a list, got {value!r}")
+            return tuple(value)
+
         grid: GridSpec
         if kind == "c_grid":
-            grid = CGrid(tuple(grid_spec["c"]), float(grid_spec.get("noise", 0.0)))
+            grid = CGrid(listed("c"), float(grid_spec.get("noise", 0.0)))
         elif kind == "pvec":
-            grid = ExplicitGrid(tuple(tuple(cell) for cell in grid_spec["cells"]))
+            grid = ExplicitGrid(tuple(tuple(cell) for cell in listed("cells")))
         elif kind == "subsampling":
-            grid = SubsamplingGrid(
-                tuple(grid_spec["r"]), tuple(grid_spec["sa"]), tuple(grid_spec["sb"])
-            )
+            grid = SubsamplingGrid(listed("r"), listed("sa"), listed("sb"))
         else:
             raise ConfigError(f"unknown grid kind {kind!r}")
         try:

@@ -2,16 +2,16 @@
 
 Everything here is exact rational arithmetic.  The central objects:
 
-* ``LaurentPoly`` -- sparse polynomial in one variable z with integer
-  (possibly negative) exponents and Fraction coefficients.  z tracks the
-  alignment score change of a relabeling.
-* ``BiPoly`` -- sparse bivariate polynomial; the first exponent counts
-  (1,1)-labeled positions inside nontrivial cycles, the second is the z
-  exponent.
+* ``LaurentPoly`` -- sparse polynomial with Fraction coefficients, in z
+  alone (int exponents, possibly negative) or in a count marker and z
+  ((m, d) exponents; m counts (1,1)-labeled positions inside nontrivial
+  cycles).  z tracks the alignment score change of a relabeling.
 * ``cycle_gf(l, w)`` -- weighted enumeration of all label pairs on one
   l-cycle, with matrix weights w tracking the joint type and z tracking
   the score change.  ``cycle_gf_enum`` computes the same thing by direct
   enumeration of all 4^l labelings and exists as an independent oracle.
+* ``_census(tau)`` -- the one walk over the 4^t labeled pairs of a pair
+  permutation; every brute-force oracle here is a weighted view of it.
 
 The closed form routes every cycle length through ``block_gf``, the
 generating polynomial of cyclic sequences partitioned into blocks of size
@@ -20,6 +20,7 @@ one and two:  block_gf(l, 2u, v) = 2 * sum_i C(l,2i) u^(l-2i) (u^2+v)^i.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,28 +36,57 @@ ENUM_CAP = 10
 
 Scalar = Union[int, Fraction]
 
+# a marked exponent (m, d) is stored as the int key m * 2^32 + d, |d| < 2^31
+_HALF = 1 << 31
+
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise ParameterError(f"exact rational required, got {type(x).__name__} {x!r}")
 
 
+def _pack(m: int, d: int) -> int:
+    if m < 0:
+        raise ParameterError(f"marker exponent must be >= 0, got {m}")
+    if not -_HALF <= d < _HALF:
+        raise ParameterError(f"z exponent {d} is outside [-2^31, 2^31)")
+    return (int(m) << 32) + int(d)
+
+
+def _unpack(key: int) -> Tuple[int, int]:
+    m = (key + _HALF) >> 32
+    return m, key - (m << 32)
+
+
 class LaurentPoly:
-    """Sparse exact-rational polynomial in z allowing negative exponents."""
+    """Sparse exact-rational polynomial in z, optionally also in a count marker.
 
-    __slots__ = ("_c",)
+    Exponents are ints (z only, possibly negative) or, for a marked
+    polynomial, pairs (m, d) of a marker exponent m >= 0 and a z exponent d.
+    Both kinds store int keys, (m, d) as m * 2^32 + d, so they share one
+    addition, multiplication and power path.  A z-only key d is the marked
+    key (0, d): combining the two kinds gives the marked kind.
+    """
 
-    def __init__(self, coeffs: Dict[int, Scalar] | None = None):
-        c = {}
-        if coeffs:
-            for e, q in coeffs.items():
-                q = _frac(q)
-                if q:
-                    c[int(e)] = q
-        self._c = c
+    __slots__ = ("_c", "_marked")
+
+    def __init__(self, coeffs: Dict[Union[int, Tuple[int, int]], Scalar] | None = None):
+        coeffs = coeffs or {}
+        self._marked = any(isinstance(e, tuple) for e in coeffs)
+        self._c = {}
+        for e, q in coeffs.items():
+            q = _frac(q)
+            if q:
+                self._c[_pack(*e) if self._marked else int(e)] = q
+
+    @classmethod
+    def _of(cls, c: Dict[int, Fraction], marked: bool) -> "LaurentPoly":
+        """Wrap int keys and Fraction coefficients, dropping zero terms."""
+        out = object.__new__(cls)
+        out._c = {e: q for e, q in c.items() if q}
+        out._marked = marked
+        return out
 
     @classmethod
     def const(cls, q) -> "LaurentPoly":
@@ -70,71 +100,89 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls.const(1)
 
-    @classmethod
-    def term(cls, coeff, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
+    def _z_only(self, what: str) -> None:
+        if self._marked:
+            raise DomainError(f"{what} needs a z-only polynomial, got (m, d) exponents")
 
-    def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+    def coeff(self, *exp: int) -> Fraction:
+        """The coefficient at d (z only) or at (m, d) (marked)."""
+        if len(exp) != 1 + self._marked:
+            raise DomainError(f"expected {1 + self._marked} exponent(s), got {exp}")
+        return self._c.get(_pack(*exp) if self._marked else exp[0], Fraction(0))
 
-    def items(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return tuple(sorted(self._c.items()))
+    def items(self) -> Tuple[Tuple[Union[int, Tuple[int, int]], Fraction], ...]:
+        """Terms in ascending exponent order; exponents are (m, d) pairs when marked."""
+        terms = sorted(self._c.items())
+        return tuple((_unpack(e), q) for e, q in terms) if self._marked else tuple(terms)
 
     def is_zero(self) -> bool:
         return not self._c
 
     @property
     def min_exp(self) -> int:
+        self._z_only("min_exp")
         if not self._c:
             raise DomainError("zero polynomial has no exponent range")
         return min(self._c)
 
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise DomainError("zero polynomial has no exponent range")
-        return max(self._c)
+    def _span(self) -> int:
+        """The largest |z exponent|."""
+        if self._marked:
+            return max((abs(_unpack(e)[1]) for e in self._c), default=0)
+        return max(map(abs, self._c), default=0)
+
+    def _operand(self, other, factor: int):
+        """(other as a polynomial, whether the result is marked), or (None, False).
+
+        Raises where a marked result's z exponents (at most `factor` times the
+        operands' largest) could leave the packed range and carry into m.
+        """
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly._of({0: Fraction(other)}, self._marked)
+        elif not isinstance(other, LaurentPoly):
+            return None, False
+        marked = self._marked or other._marked
+        if marked and factor * max(self._span(), other._span()) >= _HALF:
+            raise DomainError("z exponents leave the packed range of a marked polynomial")
+        return other, marked
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        other, marked = self._operand(other, 1)
+        if other is None:
             return NotImplemented
         c = dict(self._c)
         for e, q in other._c.items():
-            c[e] = c.get(e, Fraction(0)) + q
-        return LaurentPoly(c)
+            c[e] = c[e] + q if e in c else q
+        return LaurentPoly._of(c, marked)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -q for e, q in self._c.items()})
+        return LaurentPoly._of({e: -q for e, q in self._c.items()}, self._marked)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        other, marked = self._operand(other, 2)
+        if other is None:
             return NotImplemented
         c: Dict[int, Fraction] = {}
         for e1, q1 in self._c.items():
             for e2, q2 in other._c.items():
                 e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + q1 * q2
-        return LaurentPoly(c)
+                c[e] = c[e] + q1 * q2 if e in c else q1 * q2
+        return LaurentPoly._of(c, marked)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ParameterError("polynomial powers must be nonnegative integers")
-        result = LaurentPoly.one()
+        result = LaurentPoly._of({0: Fraction(1)}, self._marked)
         base = self
         while k:
             if k & 1:
@@ -145,23 +193,14 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+            other = LaurentPoly._of({0: Fraction(other)}, self._marked)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self.items())
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other)
-        return NotImplemented
+        return self._marked == other._marked and self._c == other._c
 
     def evaluate(self, z):
         """Exact evaluation; z must be nonzero if negative exponents occur."""
+        self._z_only("evaluate")
         if not self._c:
             return Fraction(0)
         if z == 0 and self.min_exp < 0:
@@ -173,21 +212,31 @@ class LaurentPoly:
 
     def lower_tail(self, j: int) -> Fraction:
         """Sum of coefficients with exponent <= j."""
+        self._z_only("lower_tail")
         return sum((q for e, q in self._c.items() if e <= j), Fraction(0))
 
     def total(self) -> Fraction:
         return sum(self._c.values(), Fraction(0))
 
     def has_nonneg_coeffs(self) -> bool:
+        self._z_only("has_nonneg_coeffs")
         return all(q >= 0 for q in self._c.values())
+
+    def marker_marginal(self) -> Dict[int, Fraction]:
+        """Sum over z exponents at each marker exponent."""
+        if not self._marked:
+            raise DomainError("marker_marginal needs (m, d) exponents")
+        out: Dict[int, Fraction] = {}
+        for (m, _), q in self.items():
+            out[m] = out.get(m, Fraction(0)) + q
+        return out
 
     def to_text(self) -> str:
         """Golden-file form: 'exp:coeff' pairs, exponent-ascending, coeff as p/q."""
+        self._z_only("to_text")
         if not self._c:
             return "0:0/1"
-        return " ".join(
-            f"{e}:{q.numerator}/{q.denominator}" for e, q in self.items()
-        )
+        return " ".join(f"{e}:{q.numerator}/{q.denominator}" for e, q in self.items())
 
     @classmethod
     def from_text(cls, text: str) -> "LaurentPoly":
@@ -200,135 +249,11 @@ class LaurentPoly:
     def __repr__(self):
         if not self._c:
             return "LaurentPoly(0)"
-        parts = [f"{q}*z^{e}" if e else f"{q}" for e, q in self.items()]
+        if self._marked:
+            parts = [f"{q}*w^{m}*z^{d}" for (m, d), q in self.items()]
+        else:
+            parts = [f"{q}*z^{e}" if e else f"{q}" for e, q in self.items()]
         return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-class BiPoly:
-    """Sparse exact polynomial in a count marker and z.
-
-    Keys are (m, d): m >= 0 is the marker exponent (number of (1,1) labels
-    in the nontrivial region), d the signed z exponent.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Dict[Tuple[int, int], Scalar] | None = None):
-        c = {}
-        if coeffs:
-            for (m, d), q in coeffs.items():
-                q = _frac(q)
-                if m < 0:
-                    raise ParameterError(f"marker exponent must be >= 0, got {m}")
-                if q:
-                    c[(int(m), int(d))] = q
-        self._c = c
-
-    @classmethod
-    def const(cls, q) -> "BiPoly":
-        return cls({(0, 0): _frac(q)})
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls.const(1)
-
-    def coeff(self, m: int, d: int) -> Fraction:
-        return self._c.get((m, d), Fraction(0))
-
-    def items(self):
-        return tuple(sorted(self._c.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for k, q in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + q
-        return BiPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -q for k, q in self._c.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c: Dict[Tuple[int, int], Fraction] = {}
-        for (m1, d1), q1 in self._c.items():
-            for (m2, d2), q2 in other._c.items():
-                k = (m1 + m2, d1 + d2)
-                c[k] = c.get(k, Fraction(0)) + q1 * q2
-        return BiPoly(c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ParameterError("polynomial powers must be nonnegative integers")
-        result = BiPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self.items())
-
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
-        return NotImplemented
-
-    def total(self) -> Fraction:
-        return sum(self._c.values(), Fraction(0))
-
-    def marker_marginal(self) -> Dict[int, Fraction]:
-        """Sum over z exponents at each marker exponent."""
-        out: Dict[int, Fraction] = {}
-        for (m, _), q in self._c.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return out
-
-    def score_marginal(self) -> LaurentPoly:
-        """Sum over marker exponents, leaving a polynomial in z."""
-        out: Dict[int, Fraction] = {}
-        for (_, d), q in self._c.items():
-            out[d] = out.get(d, Fraction(0)) + q
-        return LaurentPoly(out)
-
-    def score_slice(self, m: int) -> LaurentPoly:
-        """The z polynomial multiplying marker exponent m."""
-        return LaurentPoly({d: q for (mm, d), q in self._c.items() if mm == m})
-
-    def __repr__(self):
-        if not self._c:
-            return "BiPoly(0)"
-        parts = [f"{q}*w^{m}*z^{d}" for (m, d), q in self.items()]
-        return "BiPoly(" + " + ".join(parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -355,9 +280,6 @@ class WMatrix:
 
     def total(self) -> Fraction:
         return self.w00 + self.w01 + self.w10 + self.w11
-
-    def all_positive(self) -> bool:
-        return min(self.w00, self.w01, self.w10, self.w11) > 0
 
     def hadamard(self, other: "WMatrix") -> "WMatrix":
         return WMatrix(
@@ -389,18 +311,63 @@ class WMatrix:
         return (self.w00, self.w01, self.w10, self.w11)
 
 
-def _check_ell(ell: int) -> None:
+def _type_weight(w: WMatrix, t: int, k11: int, k10: int, k01: int) -> Fraction:
+    """Weight of a labeling of t positions with k_ab positions labeled (a, b)."""
+    return w.w00 ** (t - k11 - k10 - k01) * w.w01**k01 * w.w10**k10 * w.w11**k11
+
+
+@functools.lru_cache(maxsize=32)
+def _census(tau: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int, int, int, int], int], ...]:
+    """Count the 4^t labeled pairs (a, b) on the index set of tau by statistic.
+
+    Keys are (k11, k10, k01, moved_matches, d): the joint type of (a, b),
+    its (1,1) positions that tau moves, and the score change
+    d = (|a o tau ^ b| - |a ^ b|) / 2.  Weight-free, so one walk serves
+    every weight matrix; a tuple, so the cached value cannot be mutated.
+    """
+    t = len(tau)
+    if t > ENUM_CAP:
+        raise CapExceededError(f"4^{t} labelings exceed cap 4^{ENUM_CAP}")
+    if sorted(tau) != list(range(t)):
+        raise ParameterError("not a bijection on pair indices")
+    moved = sum(1 << e for e in range(t) if tau[e] != e)
+    groups: Counter = Counter()
+    for a in range(1 << t):
+        at = sum(((a >> tau[e]) & 1) << e for e in range(t))
+        na = a.bit_count()
+        for b in range(1 << t):
+            ab = a & b
+            k11 = ab.bit_count()
+            dd = (at ^ b).bit_count() - (a ^ b).bit_count()
+            groups[(k11, na - k11, b.bit_count() - k11, (ab & moved).bit_count(), dd // 2)] += 1
+    return tuple(groups.items())
+
+
+def _shift(ell: int) -> Tuple[int, ...]:
+    """The l-cycle shift: position e reads the label at (e + 1) mod l."""
     if ell < 1:
         raise ParameterError(f"cycle length must be >= 1, got {ell}")
-    if ell > ENUM_CAP:
-        raise CapExceededError(
-            f"enumeration over 4^{ell} labelings exceeds cap {ENUM_CAP}"
-        )
+    return tuple(range(1, ell)) + (0,)
 
 
-def _rot(bits: int, ell: int) -> int:
-    """Composition with the cycle shift: output bit e is input bit (e+1) mod ell."""
-    return ((bits >> 1) | ((bits & 1) << (ell - 1))) & ((1 << ell) - 1)
+def _joint_weights(tau, w: WMatrix) -> Dict[Tuple[int, int, int], Fraction]:
+    """Total weight of the labelings of tau by (matches, moved matches, score change)."""
+    out: Dict[Tuple[int, int, int], Fraction] = {}
+    for (k11, k10, k01, mt, d), cnt in _census(tuple(int(x) for x in tau)):
+        key = (k11, mt, d)
+        out[key] = out.get(key, Fraction(0)) + cnt * _type_weight(w, len(tau), k11, k10, k01)
+    return {k: q for k, q in out.items() if q}
+
+
+def pair_perm_gf_enum(tau, w: WMatrix) -> LaurentPoly:
+    """Brute-force score/type generating function of an arbitrary pair permutation.
+
+    Enumerates all 4^t labeled pairs on the full index set; cap t <= ENUM_CAP.
+    """
+    coeffs: Counter = Counter()
+    for (_, _, d), q in _joint_weights(tau, w).items():
+        coeffs[d] += q
+    return LaurentPoly(coeffs)
 
 
 def cycle_gf_enum(ell: int, w: WMatrix) -> LaurentPoly:
@@ -409,64 +376,35 @@ def cycle_gf_enum(ell: int, w: WMatrix) -> LaurentPoly:
     Sums z^(score change) * w^(joint type) over all 4^l labeled pairs (g,h)
     on a single cycle.  Oracle for ``cycle_gf``; they must agree exactly.
     """
-    _check_ell(ell)
-    mask = (1 << ell) - 1
-    groups: Counter = Counter()
-    for g in range(1 << ell):
-        gs = _rot(g, ell)
-        for h in range(1 << ell):
-            k11 = (g & h).bit_count()
-            k10 = (g & ~h & mask).bit_count()
-            k01 = (~g & h & mask).bit_count()
-            dd = (gs ^ h).bit_count() - (g ^ h).bit_count()
-            groups[(k11, k10, k01, dd // 2)] += 1
-    coeffs: Dict[int, Fraction] = {}
-    for (k11, k10, k01, d), cnt in groups.items():
-        k00 = ell - k11 - k10 - k01
-        q = cnt * w.w00**k00 * w.w01**k01 * w.w10**k10 * w.w11**k11
-        coeffs[d] = coeffs.get(d, Fraction(0)) + q
-    return LaurentPoly(coeffs)
+    return pair_perm_gf_enum(_shift(ell), w)
 
 
 def double_type_sum(ell: int, x: WMatrix, y: WMatrix) -> Fraction:
     """Direct enumeration of sum over (g,h) of x^type(g,h) * y^type(g o shift, h)."""
-    _check_ell(ell)
-    mask = (1 << ell) - 1
-    groups: Counter = Counter()
-    for g in range(1 << ell):
-        gs = _rot(g, ell)
-        for h in range(1 << ell):
-            kx = ((g & h).bit_count(), (g & ~h & mask).bit_count(), (~g & h & mask).bit_count())
-            ky = ((gs & h).bit_count(), (gs & ~h & mask).bit_count(), (~gs & h & mask).bit_count())
-            groups[(kx, ky)] += 1
-    total = Fraction(0)
-    for ((a11, a10, a01), (b11, b10, b01)), cnt in groups.items():
-        a00 = ell - a11 - a10 - a01
-        b00 = ell - b11 - b10 - b01
-        total += (
-            cnt
-            * x.w00**a00 * x.w01**a01 * x.w10**a10 * x.w11**a11
-            * y.w00**b00 * y.w01**b01 * y.w10**b10 * y.w11**b11
-        )
-    return total
+    # g o shift has as many ones as g, so its type with h follows from d
+    return sum(
+        cnt * _type_weight(x, ell, k11, k10, k01) * _type_weight(y, ell, k11 - d, k10 + d, k01 + d)
+        for (k11, k10, k01, _, d), cnt in _census(_shift(ell))
+    )
 
 
 def shift_type_sum(ell: int, x: WMatrix) -> Fraction:
     """Direct enumeration of sum over f of x^type(f, f o shift) on one l-cycle."""
-    _check_ell(ell)
-    mask = (1 << ell) - 1
-    groups: Counter = Counter()
-    for f in range(1 << ell):
-        fs = _rot(f, ell)
-        k11 = (f & fs).bit_count()
-        k10 = (f & ~fs & mask).bit_count()
-        k01 = (~f & fs & mask).bit_count()
-        groups[(k11, k10, k01)] += 1
-    total = Fraction(0)
-    for (k11, k10, k01), cnt in groups.items():
-        k00 = ell - k11 - k10 - k01
-        total += cnt * x.w00**k00 * x.w01**k01 * x.w10**k10 * x.w11**k11
-    return total
+    # h = g o shift exactly when (g o shift, h) has no (1,0) and no (0,1) position
+    return sum(
+        cnt * _type_weight(x, ell, k11, k10, k01)
+        for (k11, k10, k01, _, d), cnt in _census(_shift(ell))
+        if k10 == k01 == -d
+    )
+
+
+def joint_enum(tau, p: PVec) -> Dict[Tuple[int, int, int], Fraction]:
+    """Brute-force joint law of (total matches, nontrivial matches, score change).
+
+    Enumerates all 4^t outcomes of a correlated pair on the index set of tau;
+    cap t <= ENUM_CAP.  Keys are (m, m_nontrivial, d).
+    """
+    return _joint_weights(tau, WMatrix.from_pvec(p))
 
 
 def block_gf(ell: int, u, v):
@@ -482,15 +420,11 @@ def block_gf(ell: int, u, v):
     """
     if ell < 1:
         raise ParameterError(f"cycle length must be >= 1, got {ell}")
-    half = Fraction(1, 2)
-    uh = u * half
+    uh = u * Fraction(1, 2)
     base = uh * uh + v
     total = 0
     for i in range(ell // 2 + 1):
-        c = comb(ell, 2 * i)
-        if c == 0:
-            continue
-        total = total + c * uh ** (ell - 2 * i) * base**i
+        total = total + comb(ell, 2 * i) * uh ** (ell - 2 * i) * base**i
     return 2 * total
 
 
@@ -507,8 +441,6 @@ def cycle_gf(ell: int, w: WMatrix) -> LaurentPoly:
     Equals ``cycle_gf_enum(ell, w)`` exactly for every l; computed as
     block_gf(l, u, v) with u the total weight and v the two-block weight.
     """
-    if ell < 1:
-        raise ParameterError(f"cycle length must be >= 1, got {ell}")
     out = block_gf(ell, LaurentPoly.const(w.total()), score_weight_poly(w))
     assert isinstance(out, LaurentPoly)
     return out
@@ -516,10 +448,8 @@ def cycle_gf(ell: int, w: WMatrix) -> LaurentPoly:
 
 def perm_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
     """Generating function of a full permutation: product of its cycle factors."""
-    out = LaurentPoly.one()
-    for ell, t_ell in ct.items():
-        out = out * cycle_gf(ell, w) ** t_ell
-    return out
+    # a fixed point's factor cycle_gf(1, w) is the constant total weight
+    return nontrivial_gf(ct, w) * w.total() ** ct.t1
 
 
 def nontrivial_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
@@ -535,100 +465,23 @@ def nontrivial_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
     return out
 
 
-def pair_perm_gf_enum(tau, w: WMatrix) -> LaurentPoly:
-    """Brute-force score/type generating function of an arbitrary pair permutation.
-
-    Enumerates all 4^t labeled pairs on the full index set; cap t <= ENUM_CAP.
-    """
-    import numpy as np
-
-    arr = np.asarray(tau, dtype=np.int64)
-    t = arr.shape[0]
-    if t > ENUM_CAP:
-        raise CapExceededError(f"4^{t} labelings exceed cap 4^{ENUM_CAP}")
-    if not np.array_equal(np.sort(arr), np.arange(t)):
-        raise ParameterError("not a bijection on pair indices")
-    mask = (1 << t) - 1
-    order = [int(arr[e]) for e in range(t)]
-    comp = [0] * (1 << t)
-    for a in range(1 << t):
-        comp[a] = sum(((a >> order[e]) & 1) << e for e in range(t))
-    groups: Counter = Counter()
-    for a in range(1 << t):
-        at = comp[a]
-        for b in range(1 << t):
-            k11 = (a & b).bit_count()
-            k10 = (a & ~b & mask).bit_count()
-            k01 = (~a & b & mask).bit_count()
-            dd = (at ^ b).bit_count() - (a ^ b).bit_count()
-            groups[(k11, k10, k01, dd // 2)] += 1
-    coeffs: Dict[int, Fraction] = {}
-    for (k11, k10, k01, d), cnt in groups.items():
-        k00 = t - k11 - k10 - k01
-        q = cnt * w.w00**k00 * w.w01**k01 * w.w10**k10 * w.w11**k11
-        coeffs[d] = coeffs.get(d, Fraction(0)) + q
-    return LaurentPoly(coeffs)
-
-
-def joint_pmf(ct: CycleType, p: PVec) -> BiPoly:
+def joint_pmf(ct: CycleType, p: PVec) -> LaurentPoly:
     """Exact joint law of (count of (1,1) pairs in nontrivial cycles, score change).
 
     Built by marking the (1,1) weight in every cycle factor of length >= 2;
-    coefficient (m, d) is the probability of seeing m matched edges in the
-    nontrivial region together with score change d.
+    coefficient (m, d) of the marked polynomial is the probability of seeing
+    m matched edges in the nontrivial region together with score change d.
     """
     p11, p10, p01, p00 = p.as_fractions()
-    u = BiPoly({(1, 0): p11, (0, 0): p00 + p01 + p10})
+    u = LaurentPoly({(1, 0): p11, (0, 0): p00 + p01 + p10})
     a = p00 * p11
     b = p01 * p10
-    v = BiPoly({(1, 1): a, (1, 0): -a, (0, -1): b, (0, 0): -b})
-    out = BiPoly.one()
+    v = LaurentPoly({(1, 1): a, (1, 0): -a, (0, -1): b, (0, 0): -b})
+    out = LaurentPoly({(0, 0): 1})
     for ell, t_ell in ct.items():
         if ell >= 2:
-            factor = block_gf(ell, u, v)
-            assert isinstance(factor, BiPoly)
-            out = out * factor**t_ell
+            out = out * block_gf(ell, u, v) ** t_ell
     return out
-
-
-def joint_enum(tau, p: PVec) -> Dict[Tuple[int, int, int], Fraction]:
-    """Brute-force joint law of (total matches, nontrivial matches, score change).
-
-    Enumerates all 4^t outcomes of a correlated pair on the index set of tau;
-    cap t <= ENUM_CAP.  Keys are (m, m_nontrivial, d).
-    """
-    import numpy as np
-
-    p11, p10, p01, p00 = p.as_fractions()
-    arr = np.asarray(tau, dtype=np.int64)
-    t = arr.shape[0]
-    if t > ENUM_CAP:
-        raise CapExceededError(f"4^{t} outcomes exceed cap 4^{ENUM_CAP}")
-    if not np.array_equal(np.sort(arr), np.arange(t)):
-        raise ParameterError("not a bijection on pair indices")
-    mask = (1 << t) - 1
-    moved = sum(1 << e for e in range(t) if arr[e] != e)
-    order = [int(arr[e]) for e in range(t)]
-    comp = [0] * (1 << t)
-    for a in range(1 << t):
-        comp[a] = sum(((a >> order[e]) & 1) << e for e in range(t))
-    groups: Counter = Counter()
-    for a in range(1 << t):
-        at = comp[a]
-        for b in range(1 << t):
-            k11 = (a & b).bit_count()
-            k10 = (a & ~b & mask).bit_count()
-            k01 = (~a & b & mask).bit_count()
-            mt = (a & b & moved).bit_count()
-            dd = (at ^ b).bit_count() - (a ^ b).bit_count()
-            groups[(k11, k10, k01, mt, dd // 2)] += 1
-    out: Dict[Tuple[int, int, int], Fraction] = {}
-    for (k11, k10, k01, mt, d), cnt in groups.items():
-        k00 = t - k11 - k10 - k01
-        q = cnt * p00**k00 * p01**k01 * p10**k10 * p11**k11
-        key = (k11, mt, d)
-        out[key] = out.get(key, Fraction(0)) + q
-    return {k: v for k, v in out.items() if v}
 
 
 def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:
@@ -638,11 +491,10 @@ def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:
     if a > n or b > n:
         raise ParameterError(f"need a <= n and b <= n, got a={a}, b={b}, n={n}")
     denom = comb(n, a)
-    coeffs = {
+    return LaurentPoly({
         k: Fraction(comb(b, k) * comb(n - b, a - k), denom)
         for k in range(max(0, a + b - n), min(a, b) + 1)
-    }
-    return LaurentPoly(coeffs)
+    })
 
 
 def bin_pgf(a: int, b: int, n: int) -> LaurentPoly:

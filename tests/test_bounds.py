@@ -300,3 +300,17 @@ def test_classify_margin_slacks_reported():
     assert set(verdict.margins) >= {"converse-p11", "sparse-p11-lb", "dense-gap"}
     d = verdict.as_dict()
     assert d["region"] == verdict.region
+
+
+def test_overflowing_powers_return_inf_and_finite_values_are_unchanged():
+    p = ea.PVec(0.1, 0.01, 0.01, 0.88)
+    rep = ea.conditional_tail_bound(p, 5, 100000, 2, 100000)
+    assert rep.value == math.inf and rep.uninformative
+    rep = ea.delta_tail_bound(ea.WMatrix(9, 1, 1, 9), 100000)
+    assert rep.value == math.inf and rep.uninformative
+    # below the overflow the value is the plain float power, bit for bit
+    rep = ea.delta_tail_bound(ea.WMatrix(9, 1, 1, 9), 100)
+    assert rep.value == rep.extras["base"] ** 50 and not rep.uninformative
+    rep = ea.conditional_tail_bound(p, 5, 1000, 2, 100)
+    q = rep.extras["tilt_q"]
+    assert rep.value == (5 / (1000 * q)) ** 5 * rep.extras["alpha_scaled"] ** 500

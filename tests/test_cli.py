@@ -212,3 +212,46 @@ def test_align_missing_file_is_io_error(tmp_path, capsys):
         capsys, "align", "--gc", str(tmp_path / "nope.txt"), "--gb", str(tmp_path / "nope.txt")
     )
     assert code == 2
+
+
+MALFORMED_ARGV = {
+    "p-letters": ["gen", "--n", "4", "--p", "a,b,c,d"],
+    "p-nan": ["gen", "--n", "4", "--p", "nan,0,0,1"],
+    "subsampling-short": ["gen", "--n", "4", "--subsampling", "0.5,0.5"],
+    "w-letter": ["bounds", "--op", "delta-tail", "--w", "9,x,1,9"],
+    "c-grid-letter": ["sweep", "--c-grid", "0.5,x"],
+    "script-c-grid-letter": ["--c-grid", "0.5,x"],
+    "config-c-scalar": {"kind": "c_grid", "c": 3},
+    "config-cells-scalar": {"kind": "pvec", "cells": 3},
+    "config-r-scalar": {"kind": "subsampling", "r": 0.5, "sa": [1], "sb": [1]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
+def test_malformed_lists_exit_2_without_traceback(case, tmp_path, capsys):
+    argv = MALFORMED_ARGV[case]
+    if case.startswith("script"):
+        proc = run_threshold_script(*argv, "--out", str(tmp_path))
+        code, err = proc.returncode, proc.stderr
+    else:
+        if case.startswith("config"):
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"n": 6, "trials": 1, "grid": argv}))
+            argv = ["sweep", "--config", str(cfg_file)]
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--op", "conditional-tail", "--n", "100000", "--t-tilde", "100000",
+     "--m-tilde", "5"],
+    ["bounds", "--op", "delta-tail", "--w", "9,1,1,9", "--t-tilde", "100000"],
+])
+def test_bound_overflow_reports_inf_uninformative(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == "inf"
+    assert rep["uninformative"] is True

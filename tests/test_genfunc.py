@@ -1,8 +1,10 @@
 """Generating-function engine: exact identities, oracles, pmfs, tail bounds."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -381,3 +383,123 @@ def test_score_weight_poly_shape():
     assert v.coeff(-1) == w.w01 * w.w10
     assert v.coeff(0) == -(w.w00 * w.w11 + w.w01 * w.w10)
     assert v.evaluate(1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the census views against a direct walk over the joint labels
+
+KINDS = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+
+def brute_views(tau, x, y, p):
+    """Every census view of tau, by walking the 4^t joint labels one by one.
+
+    Returns the score generating function under weights x, the joint law
+    under p keyed (matches, moved matches, score change), the sum of
+    x^type(a, b) * y^type(a o tau, b), and the sum of x^type(a, a o tau).
+    """
+    t = len(tau)
+    moved = [e for e in range(t) if tau[e] != e]
+    groups = Counter()
+    for labels in product(KINDS, repeat=t):
+        a = [g for g, _ in labels]
+        b = [h for _, h in labels]
+        a_tau = [a[tau[e]] for e in range(t)]
+        pairs_tau = tuple(zip(a_tau, b))
+        m = sum(a[e] & b[e] for e in moved)
+        dd = sum(g != h for g, h in pairs_tau) - sum(g != h for g, h in labels)
+        groups[(tuple(sorted(labels)), tuple(sorted(pairs_tau)), m, dd // 2, a_tau == b)] += 1
+
+    def weight(w, labels):
+        entries = {(1, 1): w.w11, (1, 0): w.w10, (0, 1): w.w01, (0, 0): w.w00}
+        return prod(entries[k] for k in labels)
+
+    wp = ea.WMatrix.from_pvec(p)
+    gf, joint, double, shifted = Counter(), Counter(), F(0), F(0)
+    for (labels, pairs_tau, m, d, is_shift), cnt in groups.items():
+        gf[d] += cnt * weight(x, labels)
+        joint[(labels.count((1, 1)), m, d)] += cnt * weight(wp, labels)
+        double += cnt * weight(x, labels) * weight(y, pairs_tau)
+        if is_shift:
+            shifted += cnt * weight(x, labels)
+    return LaurentPoly(gf), {k: q for k, q in joint.items() if q}, double, shifted
+
+
+def test_census_views_match_direct_walk():
+    rnd = random.Random(53)
+    p = ea.PVec(F(1, 4), F(1, 6), F(1, 12), F(1, 2))
+    taus = [ea.lift(pi) for n in range(2, 5) for pi in ea.enumerate_perms(n)]
+    for tau in taus:
+        x, y = rand_wmatrix(rnd), rand_wmatrix(rnd)
+        gf, joint, _, _ = brute_views([int(e) for e in tau], x, y, p)
+        assert ea.pair_perm_gf_enum(tau, x) == gf
+        assert ea.joint_enum(tau, p) == joint
+    for ell in range(1, 7):
+        x, y = rand_wmatrix(rnd), rand_wmatrix(rnd)
+        shift = [(e + 1) % ell for e in range(ell)]
+        gf, joint, double, shifted = brute_views(shift, x, y, p)
+        assert ea.cycle_gf_enum(ell, x) == gf == ea.pair_perm_gf_enum(shift, x)
+        assert ea.joint_enum(shift, p) == joint
+        assert ea.double_type_sum(ell, x, y) == double
+        assert ea.shift_type_sum(ell, x) == shifted
+
+
+def test_census_guards():
+    with pytest.raises(CapExceededError):
+        ea.pair_perm_gf_enum(list(range(11)), ea.WMatrix.ones())
+    with pytest.raises(ParameterError):
+        ea.joint_enum([0, 0, 1], ea.PVec.uniform())
+    with pytest.raises(ParameterError):
+        ea.cycle_gf_enum(0, ea.WMatrix.ones())
+
+
+# ---------------------------------------------------------------------------
+# the items() shape of z-only and marked polynomials
+
+def test_items_shape_of_each_kind():
+    p = ea.PVec(F(1, 4), F(1, 6), F(1, 12), F(1, 2))
+    ct = ea.CycleType.from_mapping({1: 1, 2: 1, 3: 1})
+    gf_items = ea.nontrivial_gf(ct, ea.WMatrix.from_pvec(p)).items()
+    assert all(type(d) is int for d, _ in gf_items)
+    assert [d for d, _ in gf_items] == sorted(d for d, _ in gf_items)
+    joint_items = ea.joint_pmf(ct, p).items()
+    assert all(type(m) is int and type(d) is int for (m, d), _ in joint_items)
+    assert [k for k, _ in joint_items] == sorted(k for k, _ in joint_items)
+    assert min(d for (_, d), _ in joint_items) < 0 < max(m for (m, _), _ in joint_items)
+    marginal = Counter()
+    for (_, d), q in joint_items:
+        marginal[d] += q
+    assert {d: q for d, q in marginal.items() if q} == dict(gf_items)
+
+
+def test_z_only_methods_refuse_marked_polynomials():
+    jp = ea.joint_pmf(ea.CycleType.from_mapping({2: 1}), ea.PVec.uniform())
+    for call in (lambda: jp.evaluate(F(1, 2)), lambda: jp.lower_tail(0),
+                 lambda: jp.min_exp, jp.has_nonneg_coeffs, jp.to_text, lambda: jp.coeff(0)):
+        with pytest.raises(DomainError):
+            call()
+    with pytest.raises(DomainError):
+        LaurentPoly({0: 1}).marker_marginal()
+
+
+def test_mixed_kinds_give_the_marked_kind_or_raise():
+    z = LaurentPoly({-1: F(1, 3), 2: F(2)})
+    w = LaurentPoly({(1, 0): F(1, 2), (0, -1): F(1, 5)})
+    assert (z + w).items() == (((0, -1), F(8, 15)), ((0, 2), F(2)), ((1, 0), F(1, 2)))
+    assert z * w == w * z == LaurentPoly({
+        (1, -1): F(1, 6), (1, 2): F(1), (0, -2): F(1, 15), (0, 1): F(2, 5),
+    })
+    assert (w - z) + z == w and (w**2).coeff(1, -1) == F(1, 5)
+    # z exponents that would carry into the marker raise instead
+    with pytest.raises(DomainError):
+        LaurentPoly({2**31: 1}) + w
+    with pytest.raises(DomainError):
+        LaurentPoly({(0, 1): 1}) ** 2**31
+    with pytest.raises(ParameterError):
+        LaurentPoly({(0, 2**31): 1})
+    with pytest.raises(ParameterError):
+        LaurentPoly({(-1, 0): 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1, (1, 0): 1})
+    # a z-only polynomial far past the packed range is fine on its own
+    assert (LaurentPoly({2**40: 1}) * LaurentPoly({2**40: 1})).items() == ((2**41, F(1)),)
