@@ -176,7 +176,12 @@ def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Outcome of one exhaustive alignment scan."""
+    """Outcome of one exhaustive alignment scan.
+
+    min_delta_nonid is half the score gap from the planted alignment to the
+    best other permutation (0 at n = 1), or None when no planted alignment
+    is given.
+    """
 
     best_perm: Permutation
     min_delta_hamming: int
@@ -184,36 +189,7 @@ class AlignmentResult:
     q_size: int
     strict_success: bool
     eta: Fraction
-
-
-def _alignment_from_deltas(deltas: np.ndarray, n: int, score: int | None) -> AlignmentResult:
-    """The result of a scan from its scores.
-
-    score is the planted alignment's score, or None when no planted
-    alignment is given.
-    """
-    best_idx = int(np.argmin(deltas))  # first minimizer in lexicographic order
-    dmin = int(deltas[best_idx])
-    ties = int(np.count_nonzero(deltas == dmin))
-    best = Permutation(tuple(int(x) for x in _lex_perm_matrix(n)[best_idx]))
-    if score is None:
-        return AlignmentResult(
-            best_perm=best,
-            min_delta_hamming=dmin,
-            tie_count=ties,
-            q_size=ties,
-            strict_success=False,
-            eta=Fraction(0),
-        )
-    q_size = int(np.count_nonzero(deltas <= score))
-    return AlignmentResult(
-        best_perm=best,
-        min_delta_hamming=dmin,
-        tie_count=ties,
-        q_size=q_size,
-        strict_success=score == dmin and ties == 1,
-        eta=Fraction(1, q_size) if score == dmin else Fraction(0),
-    )
+    min_delta_nonid: int | None
 
 
 def map_estimate(
@@ -225,27 +201,39 @@ def map_estimate(
     winner is the first minimizer in lexicographic order.  When the planted
     permutation is supplied, the result also reports whether it was the
     unique minimizer (strict success), the number of permutations scoring
-    at least as well as it (q_size), and the uniform-tie-break success
-    probability eta (1/q_size when the planted score is minimal, else 0).
-    Without it, q_size is the count of minimizers.
+    at least as well as it (q_size), the uniform-tie-break success
+    probability eta (1/q_size when the planted score is minimal, else 0)
+    and its score gap to the runner-up.  Without it, q_size is the count of
+    minimizers.
     """
     if gc.n != gb.n:
         raise ParameterError(f"vertex counts differ: {gc.n} vs {gb.n}")
     deltas = hamming_scan(gc.bits, gb.bits, gc.n, cap=cap)
-    score = None
-    if planted is not None:
-        if planted.n != gc.n:
-            raise ParameterError("planted permutation does not match n")
-        score = int(deltas[lex_rank(planted.images)])
-    return _alignment_from_deltas(deltas, gc.n, score)
+    best_idx = int(np.argmin(deltas))  # first minimizer in lexicographic order
+    dmin = int(deltas[best_idx])
+    ties = int(np.count_nonzero(deltas == dmin))
+    best = Permutation(tuple(int(x) for x in _lex_perm_matrix(gc.n)[best_idx]))
+    if planted is None:
+        return AlignmentResult(best, dmin, ties, ties, False, Fraction(0), None)
+    if planted.n != gc.n:
+        raise ParameterError("planted permutation does not match n")
+    planted_idx = lex_rank(planted.images)
+    score = int(deltas[planted_idx])
+    q_size = int(np.count_nonzero(deltas <= score))
+    strict = score == dmin and ties == 1
+    if len(deltas) == 1:
+        gap = 0
+    else:
+        # the best score among the other permutations
+        min_other = int(np.delete(deltas, planted_idx).min()) if strict else dmin
+        gap = (min_other - score) // 2
+    eta = Fraction(1, q_size) if score == dmin else Fraction(0)
+    return AlignmentResult(best, dmin, ties, q_size, strict, eta, gap)
 
 
 def q_set_size(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of permutations aligning ga to gb at least as well as the identity."""
-    if ga.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
-    deltas = hamming_scan(ga.bits, gb.bits, ga.n, cap=cap)
-    return int(np.count_nonzero(deltas <= deltas[0]))
+    return map_estimate(ga, gb, planted=Permutation.identity(ga.n), cap=cap).q_size
 
 
 def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -256,8 +244,7 @@ def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     _require_cap(g.n, cap)
     if not scan_fits(g.n):
         return refinement_aut_count(g)
-    deltas = hamming_scan(g.bits, g.bits, g.n, cap=cap)
-    return int(np.count_nonzero(deltas == 0))
+    return map_estimate(g, g, cap=cap).tie_count
 
 
 def _refine(nbrs, col, ncol):

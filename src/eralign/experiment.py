@@ -22,7 +22,7 @@ import numpy as np
 
 from . import genfunc
 from .errors import ConfigError, ParameterError
-from .estimator import _alignment_from_deltas, automorphism_count, hamming_scan, scan_fits
+from .estimator import automorphism_count, map_estimate, scan_fits
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -32,8 +32,8 @@ from .genfunc import (
     hyp_pgf,
     shift_type_sum,
 )
-from .model import Graph, PVec, anonymize, rng_from_seed, _sample_bits
-from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank
+from .model import Graph, PVec, anonymize, intersection, rng_from_seed, _sample_bits
+from .perms import DEFAULT_ENUM_CAP, Permutation
 
 CSV_HEADER = "n,p11,p10,p01,p00,trials,strict_rate,mean_eta,mean_q,mean_aut,seed"
 
@@ -150,6 +150,8 @@ class SweepConfig:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
 
     def cells(self) -> List[SweepCell]:
         return self.grid.cells(self.n)
@@ -161,19 +163,28 @@ class SweepConfig:
             kind = grid_spec["kind"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"config missing grid.kind: {exc}") from exc
-        def listed(key):
-            value = grid_spec.get(key)
+        def listed(what, value, kinds=(int, float)):
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"grid.{key} must be a list, got {value!r}")
+                raise ConfigError(f"{what} must be a list, got {value!r}")
+            for v in value:
+                if not isinstance(v, kinds):
+                    raise ConfigError(f"{what} has a malformed entry {v!r}")
             return tuple(value)
 
         grid: GridSpec
         if kind == "c_grid":
-            grid = CGrid(listed("c"), float(grid_spec.get("noise", 0.0)))
+            try:
+                noise = float(grid_spec.get("noise", 0.0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"grid.noise is not a number: {exc}") from exc
+            grid = CGrid(listed("grid.c", grid_spec.get("c")), noise)
         elif kind == "pvec":
-            grid = ExplicitGrid(tuple(tuple(cell) for cell in listed("cells")))
+            cells = listed("grid.cells", grid_spec.get("cells"), (list, tuple))
+            grid = ExplicitGrid(tuple(listed(f"grid.cells[{k}]", c) for k, c in enumerate(cells)))
         elif kind == "subsampling":
-            grid = SubsamplingGrid(listed("r"), listed("sa"), listed("sb"))
+            grid = SubsamplingGrid(
+                *(listed(f"grid.{key}", grid_spec.get(key)) for key in ("r", "sa", "sb"))
+            )
         else:
             raise ConfigError(f"unknown grid kind {kind!r}")
         try:
@@ -230,35 +241,21 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
             wall_time=time.perf_counter() - t0,
         )
     pi = Permutation.random(n, rng)
-    gc = anonymize(ga, pi)
-    deltas = hamming_scan(gc.bits, gb.bits, n, cap=cap)
-    planted_idx = lex_rank(pi.images)
-    planted_score = int(deltas[planted_idx])
-    res = _alignment_from_deltas(deltas, n, planted_score)
-    if len(deltas) > 1:
-        # the best score among the other permutations
-        if res.strict_success:  # the planted permutation is the only minimizer
-            min_other = int(np.delete(deltas, planted_idx).min())
-        else:
-            min_other = res.min_delta_hamming
-        min_delta_nonid = (min_other - planted_score) // 2
-    else:
-        min_delta_nonid = 0
-    gw_bits = ga_bits & gb_bits
-    m = int(gw_bits.sum())
+    res = map_estimate(anonymize(ga, pi), gb, planted=pi, cap=cap)
     if np.array_equal(ga_bits, gb_bits):
-        # then ga AND gb = ga and the scan already visited every relabeling of it
-        aut = int(np.count_nonzero(deltas == 0))
+        # then ga AND gb = gb, and the scan's minimizers are the coset of Aut(gb) through pi
+        gw, aut = gb, res.tie_count
     else:
-        aut = int(np.count_nonzero(hamming_scan(gw_bits, gw_bits, n, cap=cap) == 0))
+        gw = intersection(ga, gb)
+        aut = automorphism_count(gw, cap=cap)
     return TrialResult(
         cell=cell_id,
         seed=seed,
         strict_success=res.strict_success,
         q_size=res.q_size,
         eta=res.eta,
-        min_delta_nonid=min_delta_nonid,
-        m_intersection=m,
+        min_delta_nonid=res.min_delta_nonid,
+        m_intersection=gw.edge_count,
         aut_intersection=aut,
         wall_time=time.perf_counter() - t0,
     )

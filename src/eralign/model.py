@@ -29,8 +29,6 @@ Prob = Union[int, float, Fraction]
 #: tolerance for the sum-to-one check when a PVec is built from floats
 FLOAT_SUM_TOL = 1e-12
 
-_MASK64 = (1 << 64) - 1
-
 
 def pair_count(n: int) -> int:
     """Number of unordered vertex pairs of [n]."""
@@ -49,7 +47,12 @@ def pair_index(i: int, j: int, n: int) -> int:
         i, j = j, i
     if not (0 <= i and j < n):
         raise ParameterError(f"pair {{{i},{j}}} out of range for n={n}")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+    return pair_id(i, j, n)
+
+
+def pair_id(lo, hi, n: int):
+    """Unchecked pair_index for lo < hi; lo and hi may be ints or arrays."""
+    return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -59,6 +62,17 @@ def pair_array(n: int):
     ii.setflags(write=False)
     jj.setflags(write=False)
     return ii, jj
+
+
+def lifted_pairs(images) -> np.ndarray:
+    """Index of the pair {pi(i), pi(j)} for each pair {i, j} in canonical order.
+
+    images is the image sequence of pi, assumed to be a bijection on [n].
+    """
+    img = np.asarray(images, dtype=np.int64)
+    ii, jj = pair_array(len(img))
+    a, b = img[ii], img[jj]
+    return pair_id(np.minimum(a, b), np.maximum(a, b), len(img))
 
 
 def _is_exact(x) -> bool:
@@ -343,8 +357,10 @@ def _sample_bits(n: int, p: PVec, rng: np.random.Generator):
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """The package-wide reproducible generator: PCG64 keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    """The package-wide reproducible generator: PCG64 keyed by a seed in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def sample_pair(n: int, p: PVec, seed: int) -> CorrelatedPair:
@@ -372,13 +388,8 @@ def anonymize(g: Graph, pi) -> Graph:
     images = _perm_images(pi)
     if len(images) != g.n:
         raise ParameterError(f"permutation on [{len(images)}] does not match n={g.n}")
-    ii, jj = pair_array(g.n)
-    img = np.asarray(images, dtype=np.int64)
-    a, b = img[ii], img[jj]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    dst = lo * g.n - lo * (lo + 1) // 2 + (hi - lo - 1)
     out = np.zeros_like(g.bits)
-    out[dst] = g.bits
+    out[lifted_pairs(images)] = g.bits
     return Graph(g.n, out)
 
 

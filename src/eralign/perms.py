@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import pair_array, pair_count
+from .model import lifted_pairs, pair_count
 
 #: default guard against accidental factorial blowup in exhaustive scans
 DEFAULT_ENUM_CAP = 10
@@ -101,12 +101,7 @@ def lex_rank(images: Sequence[int]) -> int:
 
 def lift(pi: Permutation) -> np.ndarray:
     """Pair permutation induced by a vertex permutation: {i,j} -> {pi(i),pi(j)}."""
-    n = pi.n
-    ii, jj = pair_array(n)
-    img = np.asarray(pi.images, dtype=np.int64)
-    a, b = img[ii], img[jj]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
+    return lifted_pairs(pi.images)
 
 
 @dataclass(frozen=True)

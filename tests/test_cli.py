@@ -1,18 +1,12 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import eralign as ea
 from eralign.cli import main
 from eralign.experiment import CGrid, SweepConfig, run_sweep
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -147,26 +141,19 @@ def test_sweep_cap_flag(tmp_path, capsys):
     assert out == want.csv_text
 
 
-def run_threshold_script(*argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(ea.__file__).resolve().parents[1]))
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_threshold_sweep.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
-def test_threshold_script_reports_errors(tmp_path):
+def test_threshold_sweep_reports_errors(tmp_path, capsys):
     # a noisy pair at n = 16 needs an n! scan, which the byte budget refuses
-    proc = run_threshold_script("--n", "16", "--noise", "0.01", "--trials", "2",
-                                "--out", str(tmp_path))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "byte budget" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, _, err = run_cli(capsys, "sweep", "--n", "16", "--noise", "0.01", "--trials", "2",
+                           "--cap", "16", "--c-grid", "0.5,2")
+    assert code == 2
+    assert err.startswith("error:") and "byte budget" in err
+    assert "Traceback" not in err
 
-    proc = run_threshold_script("--n", "6", "--trials", "2", "--c-grid", "0.5,2",
-                                "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "threshold_n6.csv").exists()
+    csv_path, svg_path = tmp_path / "threshold_n6.csv", tmp_path / "threshold_n6.svg"
+    code, _, err = run_cli(capsys, "sweep", "--n", "6", "--trials", "2", "--c-grid", "0.5,2",
+                           "--out", str(csv_path), "--plot", str(svg_path))
+    assert code == 0, err
+    assert csv_path.exists() and svg_path.exists()
 
 
 def test_verify_gf_command(capsys):
@@ -220,28 +207,46 @@ MALFORMED_ARGV = {
     "subsampling-short": ["gen", "--n", "4", "--subsampling", "0.5,0.5"],
     "w-letter": ["bounds", "--op", "delta-tail", "--w", "9,x,1,9"],
     "c-grid-letter": ["sweep", "--c-grid", "0.5,x"],
-    "script-c-grid-letter": ["--c-grid", "0.5,x"],
     "config-c-scalar": {"kind": "c_grid", "c": 3},
+    "config-c-letter": {"kind": "c_grid", "c": ["x"]},
+    "config-noise-letter": {"kind": "c_grid", "c": [1], "noise": "x"},
     "config-cells-scalar": {"kind": "pvec", "cells": 3},
+    "config-cells-entry-scalar": {"kind": "pvec", "cells": [3]},
     "config-r-scalar": {"kind": "subsampling", "r": 0.5, "sa": [1], "sb": [1]},
+    "config-r-letter": {"kind": "subsampling", "r": ["a"], "sa": [1], "sb": [1]},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
 def test_malformed_lists_exit_2_without_traceback(case, tmp_path, capsys):
     argv = MALFORMED_ARGV[case]
-    if case.startswith("script"):
-        proc = run_threshold_script(*argv, "--out", str(tmp_path))
-        code, err = proc.returncode, proc.stderr
-    else:
-        if case.startswith("config"):
-            cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(json.dumps({"n": 6, "trials": 1, "grid": argv}))
-            argv = ["sweep", "--config", str(cfg_file)]
-        code, _, err = run_cli(capsys, *argv)
+    if case.startswith("config"):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n": 6, "trials": 1, "grid": argv}))
+        argv = ["sweep", "--config", str(cfg_file)]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", ["gen", "sweep", "sweep-config"])
+def test_seeds_outside_64_bits_exit_2(command, seed, tmp_path, capsys):
+    if command == "gen":
+        argv = ["gen", "--n", "4", "--p", "0.25,0.25,0.25,0.25", "--seed", seed]
+    elif command == "sweep":
+        argv = ["sweep", "--n", "5", "--trials", "1", "--c-grid", "1", "--seed", seed]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"n": 5, "trials": 1, "seed": int(seed), "grid": {"kind": "c_grid", "c": [1]}}
+        ))
+        argv = ["sweep", "--config", str(cfg_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -161,6 +161,47 @@ def all_labelings(n):
     return [np.array([(mask >> k) & 1 for k in range(t)], dtype=np.uint8) for mask in range(1 << t)]
 
 
+def brute_gap(gc, gb, planted):
+    """Oracle: half the score gap from planted to the best other permutation, by direct loop."""
+    scores = {pi.images: int((gc.bits[ea.lift(pi)] != gb.bits).sum())
+              for pi in ea.enumerate_perms(gc.n)}
+    mine = scores.pop(planted.images)
+    return (min(scores.values()) - mine) // 2 if scores else 0
+
+
+def test_min_delta_nonid_on_every_small_pair():
+    for n in range(1, 4):
+        graphs = [ea.Graph(n, bits) for bits in all_labelings(n)]
+        for gc in graphs:
+            for gb in graphs:
+                assert ea.map_estimate(gc, gb).min_delta_nonid is None
+                for pi in ea.enumerate_perms(n):
+                    got = ea.map_estimate(gc, gb, planted=pi).min_delta_nonid
+                    assert got == brute_gap(gc, gb, pi), (gc.bits, gb.bits, pi)
+    single = ea.Graph.empty(1)
+    assert ea.map_estimate(single, single, planted=ea.Permutation.identity(1)).min_delta_nonid == 0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_min_delta_nonid_on_sampled_noisy_pairs(n):
+    # no graph with n <= 5 is rigid, so only n = 6 reaches strict trials, whose
+    # runner-up excludes the planted permutation
+    rng = rng_from_seed(9100 + n)
+    p = ea.PVec(0.45, 0.03, 0.03, 0.49)
+    pairs = [ea.sample_pair(n, p, int(rng.integers(1 << 62))) for _ in range(30)]
+    if n == 6:
+        pairs.append(ea.CorrelatedPair(RIGID6, RIGID6))
+    strict = 0
+    for pair in pairs:
+        pi = ea.Permutation.random(n, rng)
+        gc = ea.anonymize(pair.ga, pi)
+        res = ea.map_estimate(gc, pair.gb, planted=pi)
+        assert res.min_delta_nonid == brute_gap(gc, pair.gb, pi)
+        assert (res.min_delta_nonid > 0) == res.strict_success
+        strict += res.strict_success
+    assert strict >= (3 if n == 6 else 0)
+
+
 def test_scan_matches_row_major_oracle_on_every_pair_up_to_n4():
     for n in range(1, 5):
         labelings = all_labelings(n)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -146,6 +147,19 @@ def test_trial_eta_bounds():
 
 # ---------------------------------------------------------------------------
 # run_sweep
+
+def test_sweep_seeds_wrap_and_master_seed_is_checked():
+    top = (1 << 64) - 1
+    grid = ExplicitGrid(((0.3, 0.1, 0.1, 0.5),))
+    res = run_sweep(SweepConfig(n=5, trials=2, seed=top, grid=grid))
+    first, second = res.trial_results[0]
+    assert (first.seed, second.seed) == (top, 0)
+    again = run_trial(5, grid.cells(5)[0].p, 0, cell_id=second.cell)
+    assert replace(second, wall_time=0) == replace(again, wall_time=0)
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig(n=5, trials=1, seed=bad, grid=grid)
+
 
 def test_sweep_single_cell_single_trial(tmp_path):
     out = tmp_path / "mini.csv"

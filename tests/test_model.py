@@ -124,6 +124,16 @@ def test_sample_pair_deterministic():
     assert not (a.ga == c.ga and a.gb == c.gb)
 
 
+def test_seeds_must_fit_in_64_bits():
+    top = (1 << 64) - 1
+    assert rng_from_seed(top).random() == rng_from_seed(top).random()
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ParameterError, match="seed"):
+            rng_from_seed(bad)
+        with pytest.raises(ParameterError, match="seed"):
+            ea.sample_pair(4, ea.PVec.uniform(), bad)
+
+
 def test_sample_pair_label_frequencies():
     # n=5, uniform joint labels, 1e5 resamples with seeds 7, 8, ...:
     # each label frequency within 3 sigma of 1/4
