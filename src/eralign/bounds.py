@@ -204,8 +204,12 @@ def conditional_tail_bound(
     first = 1.0 if m_tilde == 0 else (m_tilde / (t_tilde * q)) ** m_tilde
     alpha_scaled = (1 + q) ** 2 - 2 * (sqrt(pp00 * q) - sqrt(pp01 * pp10)) ** 2
     power = _power(alpha_scaled, t_tilde / 2)
-    # an overflowed power stays inf, even where the first factor underflowed to 0
-    value = first * power if math.isfinite(power) else math.inf
+    if m_tilde > 0 and (first == 0 or math.isinf(power)):
+        # a factor left the float range while their product may not have: take it in log space
+        log_value = m_tilde * log(m_tilde / (t_tilde * q)) + t_tilde / 2 * log(alpha_scaled)
+        value = _power(math.e, log_value)
+    else:
+        value = first * power if math.isfinite(power) else math.inf
     extras = {"alpha_scaled": alpha_scaled, "first_factor": first, "tilt_q": q}
     if p11 > 0:
         extras["w_star"] = q * (1 - p11) / p11

@@ -15,7 +15,7 @@ from typing import Optional
 from . import bounds as bnd
 from .errors import USAGE_ERRORS, ConfigError, ParameterError
 from .estimator import automorphism_count, isolated_count, map_estimate
-from .experiment import SweepConfig, CGrid, emit_plot, run_sweep, verify_gf
+from .experiment import SweepConfig, read_config, emit_plot, run_sweep, verify_gf
 from .genfunc import WMatrix
 from .model import (
     Graph,
@@ -102,34 +102,16 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
-        cfg = SweepConfig.from_json_file(args.config)
-    else:
-        if args.c_grid is None:
-            raise ConfigError("either --config or --c-grid is required")
-        cfg = SweepConfig(
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed if args.seed is not None else 0,
-            grid=CGrid(tuple(parse_list(args.c_grid, float, "c values")), args.noise),
-            out=args.out,
-            threads=args.threads if args.threads else 1,
-            cap=args.cap if args.cap is not None else DEFAULT_ENUM_CAP,
-        )
-    overrides = {}
-    if args.config:
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.cap is not None:
-            overrides["cap"] = args.cap
-        if overrides:
-            from dataclasses import replace
-
-            cfg = replace(cfg, **overrides)
+    if args.config is None and args.c_grid is None:
+        raise ConfigError("either --config or --c-grid is required")
+    d = read_config(args.config) if args.config else {"n": 9, "trials": 100}
+    if args.c_grid is not None:
+        d["grid"] = {"kind": "c_grid", "c": parse_list(args.c_grid, float, "c values"),
+                     "noise": args.noise}
+    for key in ("n", "trials", "seed", "out", "threads", "cap"):
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
+    cfg = SweepConfig.from_dict(d)
     result = run_sweep(cfg)
     if result.path:
         print(result.path)
@@ -212,15 +194,20 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     u.set_defaults(func=_cmd_aut)
 
-    s = sub.add_parser("sweep", help="run a Monte Carlo sweep to CSV")
+    s = sub.add_parser(
+        "sweep", help="run a Monte Carlo sweep to CSV",
+        description="Run a Monte Carlo sweep to CSV.  Every flag given overrides the "
+        "value in --config; without --config, --c-grid is required.",
+    )
     s.add_argument("--config", type=str, help="JSON config file")
-    s.add_argument("--n", type=int, default=9)
-    s.add_argument("--trials", type=int, default=100)
+    s.add_argument("--n", type=int, default=None, help="vertices (default 9)")
+    s.add_argument("--trials", type=int, default=None, help="trials per cell (default 100)")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", type=str, default=None)
     s.add_argument("--threads", type=int, default=None)
-    s.add_argument("--c-grid", type=str, default=None, help="comma list of c values")
-    s.add_argument("--noise", type=float, default=0.0)
+    s.add_argument("--c-grid", type=str, default=None,
+                   help="comma list of c values; replaces the config's grid")
+    s.add_argument("--noise", type=float, default=0.0, help="p01 = p10 of the --c-grid cells")
     s.add_argument("--plot", type=str, default=None, help="also emit an SVG")
     s.add_argument(
         "--cap", type=int, default=None,

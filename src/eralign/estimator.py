@@ -17,9 +17,9 @@ The table is the scan's one large allocation, so every scan first checks
 its byte estimate against a fixed budget, whatever enumeration cap the
 caller passes.  Concurrent first requests for a table build it once.
 
-Past the scan's reach the automorphism group is counted without any n!
-table, by colour refinement and individualization (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).
+Automorphism groups are counted without any n! table, at every n, by
+colour refinement and individualization (McKay & Piperno, "Practical
+graph isomorphism, II", 2014); the scan stays their independent oracle.
 """
 
 from __future__ import annotations
@@ -237,14 +237,9 @@ def q_set_size(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 
 def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Size of the automorphism group; refuses n > cap.
-
-    By exhaustive scan where its tables fit, else by refinement_aut_count.
-    """
+    """Size of the automorphism group, by refinement_aut_count; refuses n > cap."""
     _require_cap(g.n, cap)
-    if not scan_fits(g.n):
-        return refinement_aut_count(g)
-    return map_estimate(g, g, cap=cap).tie_count
+    return refinement_aut_count(g)
 
 
 def _refine(nbrs, col, ncol):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,10 +33,15 @@ from .genfunc import (
     hyp_pgf,
     shift_type_sum,
 )
-from .model import Graph, PVec, anonymize, intersection, rng_from_seed, _sample_bits
+from .model import (
+    Graph, PVec, SubsamplingParams, anonymize, intersection, rng_from_seed,
+    subsampling_to_pvec, _sample_bits,
+)
 from .perms import DEFAULT_ENUM_CAP, Permutation
 
-CSV_HEADER = "n,p11,p10,p01,p00,trials,strict_rate,mean_eta,mean_q,mean_aut,seed"
+CSV_COLUMNS = ("n", "p11", "p10", "p01", "p00", "trials", "strict_rate", "mean_eta", "mean_q",
+               "mean_aut", "seed")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,6 +74,20 @@ class SweepCell:
     p: PVec
 
 
+def _cell(cell_id: str, make, *args) -> SweepCell:
+    """SweepCell(cell_id, make(*args)), an invalid cell raising ConfigError."""
+    try:
+        return SweepCell(cell_id, make(*args))
+    except (ParameterError, TypeError) as exc:
+        raise ConfigError(f"grid cell {cell_id!r} is invalid: {exc}") from exc
+
+
+def _c_pvec(c: float, noise: float, n: int) -> PVec:
+    p11 = c * log(n) / n
+    p00 = 1.0 - p11 - 2 * noise
+    return PVec(p11, noise, noise, p00)
+
+
 @dataclass(frozen=True)
 class CGrid:
     """Cells with p11 = c * ln(n)/n, symmetric noise p01 = p10, rest on p00."""
@@ -76,16 +96,7 @@ class CGrid:
     noise: float = 0.0
 
     def cells(self, n: int) -> List[SweepCell]:
-        out = []
-        for c in self.c:
-            cell_id = f"c={c:g}"
-            p11 = c * log(n) / n
-            p00 = 1.0 - p11 - 2 * self.noise
-            try:
-                out.append(SweepCell(cell_id, PVec(p11, self.noise, self.noise, p00)))
-            except ParameterError as exc:
-                raise ConfigError(f"grid cell {cell_id!r} is invalid: {exc}") from exc
-        return out
+        return [_cell(f"c={c:g}", _c_pvec, c, self.noise, n) for c in self.c]
 
 
 @dataclass(frozen=True)
@@ -95,14 +106,7 @@ class ExplicitGrid:
     cells_spec: Tuple[Tuple[float, float, float, float], ...]
 
     def cells(self, n: int) -> List[SweepCell]:
-        out = []
-        for k, cell in enumerate(self.cells_spec):
-            cell_id = f"p[{k}]"
-            try:
-                out.append(SweepCell(cell_id, PVec(*cell)))
-            except (ParameterError, TypeError) as exc:
-                raise ConfigError(f"grid cell {cell_id!r} is invalid: {exc}") from exc
-        return out
+        return [_cell(f"p[{k}]", PVec, *cell) for k, cell in enumerate(self.cells_spec)]
 
 
 @dataclass(frozen=True)
@@ -114,23 +118,26 @@ class SubsamplingGrid:
     sb: Tuple[float, ...]
 
     def cells(self, n: int) -> List[SweepCell]:
-        from .model import SubsamplingParams, subsampling_to_pvec
+        def pvec(*rates):
+            return subsampling_to_pvec(SubsamplingParams(*rates))
 
-        out = []
-        for r in self.r:
-            for sa in self.sa:
-                for sb in self.sb:
-                    cell_id = f"r={r:g},sa={sa:g},sb={sb:g}"
-                    try:
-                        out.append(
-                            SweepCell(cell_id, subsampling_to_pvec(SubsamplingParams(r, sa, sb)))
-                        )
-                    except ParameterError as exc:
-                        raise ConfigError(f"grid cell {cell_id!r} is invalid: {exc}") from exc
-        return out
+        return [_cell(f"r={r:g},sa={sa:g},sb={sb:g}", pvec, r, sa, sb)
+                for r in self.r for sa in self.sa for sb in self.sb]
 
 
 GridSpec = Union[CGrid, ExplicitGrid, SubsamplingGrid]
+
+
+def read_config(path) -> Dict:
+    """The JSON object in the file at path; anything else raises ConfigError."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return d
 
 
 @dataclass(frozen=True)
@@ -144,14 +151,16 @@ class SweepConfig:
     cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if not 0 <= self.seed <= _MASK64:
+        for name, low in (("trials", 1), ("n", 2), ("threads", 1), ("seed", 0), ("cap", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if self.seed > _MASK64:
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
 
     def cells(self) -> List[SweepCell]:
         return self.grid.cells(self.n)
@@ -167,7 +176,9 @@ class SweepConfig:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{what} must be a list, got {value!r}")
             for v in value:
-                if not isinstance(v, kinds):
+                # an int of 1024 bits or more has no float, so no cell id or probability
+                if isinstance(v, bool) or not isinstance(v, kinds) or (
+                        isinstance(v, int) and v.bit_length() >= 1024):
                     raise ConfigError(f"{what} has a malformed entry {v!r}")
             return tuple(value)
 
@@ -175,7 +186,7 @@ class SweepConfig:
         if kind == "c_grid":
             try:
                 noise = float(grid_spec.get("noise", 0.0))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"grid.noise is not a number: {exc}") from exc
             grid = CGrid(listed("grid.c", grid_spec.get("c")), noise)
         elif kind == "pvec":
@@ -188,25 +199,15 @@ class SweepConfig:
         else:
             raise ConfigError(f"unknown grid kind {kind!r}")
         try:
-            return cls(
-                n=int(d["n"]),
-                trials=int(d["trials"]),
-                seed=int(d.get("seed", 0)),
-                grid=grid,
-                out=d.get("out"),
-                threads=int(d.get("threads", 1)),
-                cap=int(d.get("cap", DEFAULT_ENUM_CAP)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed sweep config: {exc}") from exc
+            return cls(n=d["n"], trials=d["trials"], seed=d.get("seed", 0), grid=grid,
+                       out=d.get("out"), threads=d.get("threads", 1),
+                       cap=d.get("cap", DEFAULT_ENUM_CAP))
+        except KeyError as exc:
+            raise ConfigError(f"malformed sweep config: missing {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "SweepConfig":
-        try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(read_config(path))
 
 
 def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: str = "") -> TrialResult:
@@ -302,31 +303,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         mean_eta = sum((tr.eta for tr in trs), Fraction(0)) / trials
         mean_q = Fraction(sum(tr.q_size for tr in trs), trials)
         mean_aut = Fraction(sum(tr.aut_intersection for tr in trs), trials)
-        p11, p10, p01, p00 = cell.p.as_floats()
-        rows.append(
-            {
-                "cell": cell.cell_id,
-                "n": cfg.n,
-                "p11": p11,
-                "p10": p10,
-                "p01": p01,
-                "p00": p00,
-                "trials": trials,
-                "strict_rate": float(strict_rate),
-                "mean_eta": float(mean_eta),
-                "mean_q": float(mean_q),
-                "mean_aut": float(mean_aut),
-                "seed": cfg.seed,
-            }
-        )
+        values = (cfg.n, *cell.p.as_floats(), trials, float(strict_rate), float(mean_eta),
+                  float(mean_q), float(mean_aut), cfg.seed)
+        rows.append({"cell": cell.cell_id, **dict(zip(CSV_COLUMNS, values))})
 
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['n']},{r['p11']!r},{r['p10']!r},{r['p01']!r},{r['p00']!r},"
-            f"{r['trials']},{r['strict_rate']!r},{r['mean_eta']!r},{r['mean_q']!r},"
-            f"{r['mean_aut']!r},{r['seed']}"
-        )
+    # repr of an int is its str, and of a float the shortest round-trip form
+    lines = [CSV_HEADER] + [",".join(repr(r[k]) for k in CSV_COLUMNS) for r in rows]
     csv_text = "\n".join(lines) + "\n"
     path = None
     if cfg.out:
@@ -357,23 +339,20 @@ def _parse_sweep_csv(path) -> List[Dict]:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"line 1: empty CSV {path}")
-        if [h.strip() for h in header] != CSV_HEADER.split(","):
+        if tuple(h.strip() for h in header) != CSV_COLUMNS:
             raise ConfigError(f"line 1: header mismatch, expected {CSV_HEADER!r}")
         rows = []
         for lineno, rec in enumerate(reader, start=2):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue
-            if len(rec) != 11:
-                raise ConfigError(f"line {lineno}: expected 11 fields, got {len(rec)}")
-            try:
-                rows.append(
-                    {
-                        "n": int(rec[0]),
-                        "p11": float(rec[1]),
-                        "trials": int(rec[5]),
-                        "strict_rate": float(rec[6]),
-                    }
+            if len(rec) != len(CSV_COLUMNS):
+                raise ConfigError(
+                    f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}"
                 )
+            r = dict(zip(CSV_COLUMNS, rec))
+            try:
+                rows.append({"n": int(r["n"]), "p11": float(r["p11"]), "trials": int(r["trials"]),
+                             "strict_rate": float(r["strict_rate"])})
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
     return rows

@@ -314,3 +314,16 @@ def test_overflowing_powers_return_inf_and_finite_values_are_unchanged():
     rep = ea.conditional_tail_bound(p, 5, 1000, 2, 100)
     q = rep.extras["tilt_q"]
     assert rep.value == (5 / (1000 * q)) ** 5 * rep.extras["alpha_scaled"] ** 500
+
+
+@pytest.mark.parametrize("m_tilde, t_tilde, n", [(1500, 5000, 10), (336, 13400, 1000)])
+def test_conditional_tail_is_finite_where_a_float_factor_leaves_the_range(m_tilde, t_tilde, n):
+    # the first factor underflows to 0; at t_tilde = 5000 the power also
+    # overflows.  The true values are about e^-128.3 and e^-106.2.
+    p = ea.PVec(0.1, 0.01, 0.01, 0.88)
+    rep = ea.conditional_tail_bound(p, m_tilde, t_tilde, 2, n)
+    assert rep.extras["first_factor"] == 0.0
+    assert 0 < rep.value < 1 and not rep.uninformative
+    q, alpha = rep.extras["tilt_q"], rep.extras["alpha_scaled"]
+    want = m_tilde * log(m_tilde / (t_tilde * q)) + t_tilde / 2 * log(alpha)
+    assert math.isclose(log(rep.value), want, rel_tol=1e-9)

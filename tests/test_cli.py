@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eralign as ea
+from eralign import estimator
 from eralign.cli import main
 from eralign.experiment import CGrid, SweepConfig, run_sweep
 
@@ -214,6 +220,8 @@ MALFORMED_ARGV = {
     "config-cells-entry-scalar": {"kind": "pvec", "cells": [3]},
     "config-r-scalar": {"kind": "subsampling", "r": 0.5, "sa": [1], "sb": [1]},
     "config-r-letter": {"kind": "subsampling", "r": ["a"], "sa": [1], "sb": [1]},
+    "config-c-past-float": {"kind": "c_grid", "c": [10**400]},
+    "config-noise-past-float": {"kind": "c_grid", "c": [1], "noise": 10**400},
 }
 
 
@@ -260,3 +268,126 @@ def test_bound_overflow_reports_inf_uninformative(argv, capsys):
     rep = json.loads(out)
     assert rep["value"] == "inf"
     assert rep["uninformative"] is True
+
+
+@pytest.mark.parametrize("value", [1.9, "5", True])
+@pytest.mark.parametrize("field", ["n", "trials", "seed", "threads", "cap"])
+def test_sweep_config_non_integer_fields_exit_2(field, value, tmp_path, capsys):
+    cfg = {"n": 5, "trials": 1, "seed": 1, "threads": 1, "cap": 10,
+           "grid": {"kind": "c_grid", "c": [1]}, field: value}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+def test_sweep_flags_override_every_config_value(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"n": 5, "trials": 7, "seed": 1, "grid": {"kind": "c_grid", "c": [0.5, 2]}}
+    ))
+    code, overlaid, _ = run_cli(
+        capsys, "sweep", "--config", str(cfg_file), "--n", "6", "--trials", "2", "--seed", "9"
+    )
+    assert code == 0
+    code, flags_only, _ = run_cli(
+        capsys, "sweep", "--n", "6", "--trials", "2", "--seed", "9", "--c-grid", "0.5,2"
+    )
+    assert code == 0
+    assert overlaid == flags_only
+
+
+# ---------------------------------------------------------------------------
+# property: whatever argv and config a sweep is given, it exits 0 or 2 with
+# "error:", and never with a traceback.  Configs start valid and then have up
+# to two entries, at any depth, dropped or replaced by a WILD value.  No n or
+# cap passes 20: a sweep samples its n-vertex pair before it refuses n > cap,
+# so an n of millions would allocate gigabytes.  Runs stay at n <= 7 or at
+# n = 11, 16 (or a WILD 12, 20), where noiseless trials are counted by
+# refinement and noisy ones are refused by the scan's byte estimate; no lift
+# table is ever built past n = 10.
+
+WILD = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
+        | st.sampled_from([-1, 0, 1, 3, 12, 20]) | st.lists(st.integers(-2, 2), max_size=2))
+RATE = st.sampled_from([0, 0.01, 0.05, 0.25, 0.5, 1, 2, 4.0, 10**400, -1e308])
+INTS = {  # mostly valid; the last entries are out of range
+    "n": st.sampled_from([7, 16, 11, 6, 5, 2, 1]),
+    "trials": st.sampled_from([1, 2, 1, 0]),
+    "seed": st.sampled_from([0, 7, (1 << 64) - 1, 1 << 64, -1]),
+    "threads": st.sampled_from([1, 2, 3, 0]),
+    "cap": st.sampled_from([16, 10, 16, 0]),
+}
+GRID = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("c_grid"), "c": st.lists(RATE, min_size=1, max_size=3)},
+                          optional={"noise": st.sampled_from([0, 0.01, 0.05])}),
+    st.fixed_dictionaries({"kind": st.just("pvec"), "cells": st.lists(
+        st.lists(RATE, min_size=4, max_size=4), min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("subsampling"),
+                           **{key: st.lists(RATE, min_size=1, max_size=2) for key in ("r", "sa", "sb")}}),
+)
+
+
+@st.composite
+def spoiled(draw, value):
+    """value with one entry, at some depth, dropped or replaced by a WILD value."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(spoiled(value[key]))
+        return out
+    return draw(WILD)
+
+
+@st.composite
+def configs(draw):
+    cfg = draw(st.fixed_dictionaries(
+        {"n": INTS["n"], "trials": INTS["trials"], "cap": INTS["cap"], "grid": GRID},
+        optional={key: INTS[key] for key in ("seed", "threads")},
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        cfg = draw(spoiled(cfg))
+    return cfg
+
+
+FLAGS = st.fixed_dictionaries({}, optional={
+    **{f"--{key}": ints.map(str) for key, ints in INTS.items()},
+    "--c-grid": st.one_of(st.lists(RATE, min_size=1, max_size=3), st.lists(RATE, max_size=3),
+                          st.lists(RATE | WILD, min_size=1, max_size=3)).map(
+                              lambda xs: ",".join(map(str, xs))),
+    "--noise": st.sampled_from([0.0, 0.01, -0.5, float("nan")]).map(str),
+})
+
+
+real_build_lift_table = estimator._build_lift_table
+
+
+def _no_table_past_the_budget(n):
+    assert n < 11, f"lift table built for n={n}"
+    return real_build_lift_table(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=st.one_of(st.none(), configs(), configs()), flags=FLAGS)
+def test_sweep_property_exit_0_or_2_without_traceback(config, flags, tmp_path_factory):
+    if config is None:  # keep the flags-only default of n = 9, 100 trials out of the property
+        flags = {"--n": "6", "--trials": "1", "--c-grid": "1", **flags}
+    argv = ["sweep", *(f"{flag}={value}" for flag, value in flags.items())]
+    if config is not None:
+        cfg_file = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_file)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(estimator, "_build_lift_table", _no_table_past_the_budget), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -249,6 +249,16 @@ def test_sweep_config_validation():
         SweepConfig(n=6, trials=0, seed=1, grid=CGrid((1.0,)))
 
 
+def test_sweep_config_refuses_non_integers_and_non_path_out():
+    # a float is refused, never truncated to an int
+    with pytest.raises(ConfigError, match="trials must be an integer"):
+        SweepConfig(n=6, trials=1.9, seed=1, grid=CGrid((1.0,)))
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        SweepConfig(n=6, trials=1, seed=True, grid=CGrid((1.0,)))
+    with pytest.raises(ConfigError, match="out must be a path"):
+        SweepConfig(n=6, trials=1, seed=1, grid=CGrid((1.0,)), out=5)
+
+
 def test_subsampling_grid_cells():
     grid = SubsamplingGrid(r=(0.5,), sa=(1.0,), sb=(1.0, 0.5))
     cells = grid.cells(6)
