@@ -106,8 +106,12 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("either --config or --c-grid is required")
     d = read_config(args.config) if args.config else {"n": 9, "trials": 100}
     if args.c_grid is not None:
-        d["grid"] = {"kind": "c_grid", "c": parse_list(args.c_grid, float, "c values"),
-                     "noise": args.noise}
+        d["grid"] = {"kind": "c_grid", "c": parse_list(args.c_grid, float, "c values")}
+    if args.noise is not None:
+        grid = d.get("grid")
+        if not (isinstance(grid, dict) and grid.get("kind") == "c_grid"):
+            raise ConfigError("--noise applies only to a c_grid grid")
+        d["grid"] = {**grid, "noise": args.noise}
     for key in ("n", "trials", "seed", "out", "threads", "cap"):
         if getattr(args, key) is not None:
             d[key] = getattr(args, key)
@@ -207,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=None)
     s.add_argument("--c-grid", type=str, default=None,
                    help="comma list of c values; replaces the config's grid")
-    s.add_argument("--noise", type=float, default=0.0, help="p01 = p10 of the --c-grid cells")
+    s.add_argument("--noise", type=float, default=None,
+                   help="p01 = p10 of the c_grid cells (default: the config's, else 0)")
     s.add_argument("--plot", type=str, default=None, help="also emit an SVG")
     s.add_argument(
         "--cap", type=int, default=None,

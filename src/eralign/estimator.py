@@ -19,7 +19,9 @@ caller passes.  Concurrent first requests for a table build it once.
 
 Automorphism groups are counted without any n! table, at every n, by
 colour refinement and individualization (McKay & Piperno, "Practical
-graph isomorphism, II", 2014); the scan stays their independent oracle.
+graph isomorphism, II", 2014), and a rigid graph's runner-up score, the
+second-smallest of the scan of (g, g), by a pruned prefix search; the
+scan stays the independent oracle of both.
 """
 
 from __future__ import annotations
@@ -234,6 +236,47 @@ def map_estimate(
 def q_set_size(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of permutations aligning ga to gb at least as well as the identity."""
     return map_estimate(ga, gb, planted=Permutation.identity(ga.n), cap=cap).q_size
+
+
+def runner_up_distance(g: Graph) -> int:
+    """Smallest Hamming distance from g to its relabelling by a non-identity permutation.
+
+    This is the second-smallest score of the scan of (g, g) when g is rigid,
+    found without an n! table.  The best of the C(n, 2) transpositions
+    bounds it; then the prefixes pi(0..j) are grown level by level, each
+    keeping its partial distance over the pairs inside 0..j, and a prefix
+    survives while that distance is at most the bound.  Partial distances
+    never fall as a prefix grows, so the survivors at depth n are every
+    permutation within the bound.  A prefix stores, per vertex w, the mask
+    of positions i < j whose image is adjacent to w.  Even with nothing
+    pruned, a search at n = 10 peaks at 0.48 GB, below SCAN_BYTE_BUDGET;
+    run_trial calls it only where the scan fits.  Masks are uint16, so
+    2 <= n <= 16.
+    """
+    n = g.n
+    if not 2 <= n <= 16:
+        raise ParameterError(f"runner_up_distance needs 2 <= n <= 16, got {n}")
+    adj = np.zeros((n, n), dtype=np.uint16)
+    ii, jj = pair_array(n)
+    adj[ii, jj] = adj[jj, ii] = g.bits
+    verts = np.arange(n, dtype=np.uint16)
+    rows = adj @ (1 << verts)
+    pop = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        pop[1 << b : 2 << b] = pop[: 1 << b] + 1
+    # transposition (a b): each w off {a, b} with adj[a, w] != adj[b, w] moves two pairs
+    bound = int(2 * (pop[rows[ii] ^ rows[jj]] - 2 * adj[ii, jj]).min())
+    nbr = np.zeros((1, n), dtype=np.uint16)  # bit i of nbr[k, w]: prefix k maps i next to w
+    dist = np.zeros(1, dtype=np.int16)
+    used = np.zeros(1, dtype=np.uint16)
+    ident = np.ones(1, dtype=bool)
+    for j in range(n):
+        cost = dist[:, None] + pop[nbr ^ (rows[j] & ((1 << j) - 1))]
+        free = ((used[:, None] >> verts) & 1) == 0
+        k, v = np.nonzero(free & (cost <= bound))
+        dist, used, ident = cost[k, v], used[k] | (1 << verts[v]), ident[k] & (v == j)
+        nbr = nbr[k] | (adj[v] << j)
+    return int(dist[~ident].min())
 
 
 def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:

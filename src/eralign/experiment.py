@@ -22,8 +22,10 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import genfunc
-from .errors import ConfigError, ParameterError
-from .estimator import automorphism_count, map_estimate, scan_fits
+from .errors import CapExceededError, ConfigError, ParameterError
+from .estimator import (
+    SCAN_BYTE_BUDGET, automorphism_count, map_estimate, runner_up_distance, scan_fits,
+)
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -34,8 +36,8 @@ from .genfunc import (
     shift_type_sum,
 )
 from .model import (
-    Graph, PVec, SubsamplingParams, anonymize, intersection, rng_from_seed,
-    subsampling_to_pvec, _sample_bits,
+    SAMPLE_BYTES_PER_PAIR, Graph, PVec, SubsamplingParams, anonymize, intersection, pair_count,
+    rng_from_seed, subsampling_to_pvec, _sample_bits,
 )
 from .perms import DEFAULT_ENUM_CAP, Permutation
 
@@ -51,10 +53,10 @@ class TrialResult:
     """Outcome of one alignment trial.
 
     min_delta_nonid is half the score gap from the planted alignment to the
-    best other one.  It is None for an identical pair past the n! scan's
-    reach: there the trial is settled by counting automorphisms, while the
-    gap needs the full scan (a pure-Python exact branch-and-bound for it
-    took seconds per rigid graph at n = 16 on a 2-core machine).
+    best other one.  For an identical pair it is 0 unless the graph is
+    rigid, and then half its runner_up_distance; past the n! scan's reach
+    it is None (that search took 2.3 s and 1 GB per rigid graph at n = 16
+    on a 2-core machine).
     """
 
     cell: str
@@ -211,51 +213,54 @@ class SweepConfig:
 
 
 def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: str = "") -> TrialResult:
-    """One alignment trial: sample a pair, anonymize, scan, score.
+    """One alignment trial: sample a pair and score its MAP alignment.
 
     The trial generator first draws the pair labels (so the graphs match
-    ``sample_pair(n, p, seed)`` exactly) and then the planted permutation by
-    Fisher-Yates from the same stream.
+    ``sample_pair(n, p, seed)`` exactly) and then, for a noisy pair, the
+    planted permutation by Fisher-Yates from the same stream; no field
+    depends on it.  CapExceededError is raised before
+    anything is drawn when n > cap or the draw would pass SCAN_BYTE_BUDGET.
 
-    An identical pair (every noiseless trial) past the scan's byte budget
-    is scored without a scan: the planted alignment scores 0, so Q is the
-    coset of Aut(gb) through it and |Q| = |Aut(gb)|, which
-    automorphism_count finds by refinement.  Noisy pairs there still raise
-    CapExceededError, as does any n > cap.
+    An identical pair (every noiseless trial) is scored without a scan: the
+    planted alignment scores 0, so Q is the coset of Aut(gb) through it and
+    |Q| = |Aut(gb)|, which automorphism_count finds by refinement.  The gap
+    is 0 unless gb is rigid; then it is half of runner_up_distance(gb),
+    found where the scan would fit and None past it.  Noisy pairs are
+    scanned, so past the scan's byte budget they raise CapExceededError.
     """
     t0 = time.perf_counter()
+    if n > cap:
+        raise CapExceededError(f"a trial at n = {n} exceeds cap {cap}")
+    need = SAMPLE_BYTES_PER_PAIR * pair_count(n)
+    if need > SCAN_BYTE_BUDGET:
+        raise CapExceededError(f"sampling a pair at n = {n} needs {need / 1e9:.1f} GB, "
+                               f"over the {SCAN_BYTE_BUDGET}-byte budget")
     rng = rng_from_seed(seed)
     ga_bits, gb_bits = _sample_bits(n, p, rng)
-    ga = Graph(n, ga_bits)
     gb = Graph(n, gb_bits)
-    if not scan_fits(n) and np.array_equal(ga_bits, gb_bits):
-        aut = automorphism_count(gb, cap=cap)
-        return TrialResult(
-            cell=cell_id,
-            seed=seed,
-            strict_success=aut == 1,
-            q_size=aut,
-            eta=Fraction(1, aut),
-            min_delta_nonid=None,
-            m_intersection=gb.edge_count,
-            aut_intersection=aut,
-            wall_time=time.perf_counter() - t0,
-        )
-    pi = Permutation.random(n, rng)
-    res = map_estimate(anonymize(ga, pi), gb, planted=pi, cap=cap)
     if np.array_equal(ga_bits, gb_bits):
-        # then ga AND gb = gb, and the scan's minimizers are the coset of Aut(gb) through pi
-        gw, aut = gb, res.tie_count
+        aut = automorphism_count(gb, cap=cap)
+        if not scan_fits(n):
+            gap = None
+        elif aut > 1 or n == 1:
+            gap = 0
+        else:
+            gap = runner_up_distance(gb) // 2
+        q_size, strict, eta, gw = aut, aut == 1, Fraction(1, aut), gb
     else:
+        ga = Graph(n, ga_bits)
+        pi = Permutation.random(n, rng)
+        res = map_estimate(anonymize(ga, pi), gb, planted=pi, cap=cap)
         gw = intersection(ga, gb)
         aut = automorphism_count(gw, cap=cap)
+        q_size, strict, eta, gap = res.q_size, res.strict_success, res.eta, res.min_delta_nonid
     return TrialResult(
         cell=cell_id,
         seed=seed,
-        strict_success=res.strict_success,
-        q_size=res.q_size,
-        eta=res.eta,
-        min_delta_nonid=res.min_delta_nonid,
+        strict_success=strict,
+        q_size=q_size,
+        eta=eta,
+        min_delta_nonid=gap,
         m_intersection=gw.edge_count,
         aut_intersection=aut,
         wall_time=time.perf_counter() - t0,

@@ -347,6 +347,10 @@ def pvec_to_r(p: PVec):
     return p.p11 + p.p10 + p.p01 + p.p10 * p.p01 / p.p11
 
 
+#: bytes _sample_bits holds per vertex pair: a float64 uniform, two uint8 labels, bool temporaries
+SAMPLE_BYTES_PER_PAIR = 13
+
+
 def _sample_bits(n: int, p: PVec, rng: np.random.Generator):
     """Draw the two bit vectors of a correlated pair from an open generator."""
     c11, c10, c01, _ = p.as_floats()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eralign as ea
-from eralign import estimator
+from eralign import estimator, experiment
 from eralign.cli import main
 from eralign.experiment import CGrid, SweepConfig, run_sweep
 
@@ -300,21 +300,62 @@ def test_sweep_flags_override_every_config_value(tmp_path, capsys):
     assert overlaid == flags_only
 
 
+def test_sweep_noise_overrides_the_config_c_grid(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"n": 6, "trials": 3, "seed": 4, "grid": {"kind": "c_grid", "c": [1, 2], "noise": 0.01}}
+    ))
+    for flags, noise in (([], 0.01), (["--noise", "0.05"], 0.05)):
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg_file), *flags)
+        assert code == 0
+        want = run_sweep(SweepConfig(n=6, trials=3, seed=4, grid=CGrid((1.0, 2.0), noise)))
+        assert out == want.csv_text
+    # --c-grid alone still means noise 0
+    code, out, _ = run_cli(capsys, "sweep", "--n", "6", "--trials", "3", "--seed", "4",
+                           "--c-grid", "1,2")
+    assert code == 0
+    assert out == run_sweep(SweepConfig(n=6, trials=3, seed=4, grid=CGrid((1.0, 2.0)))).csv_text
+
+
+def test_sweep_noise_needs_a_c_grid(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"n": 6, "trials": 1, "grid": {"kind": "pvec", "cells": [[0.4, 0.1, 0.1, 0.4]]}}
+    ))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_file), "--noise", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--noise" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_refuses_a_huge_n_before_sampling(capsys):
+    def no_draw(*args):
+        raise AssertionError("a pair was sampled")
+
+    with mock.patch.object(experiment, "_sample_bits", no_draw):
+        for flags, reason in (([], "cap 10"), (["--cap", "100000"], "byte budget")):
+            code, out, err = run_cli(capsys, "sweep", "--n", "100000", "--c-grid", "1", *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and reason in err
+            assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # property: whatever argv and config a sweep is given, it exits 0 or 2 with
 # "error:", and never with a traceback.  Configs start valid and then have up
-# to two entries, at any depth, dropped or replaced by a WILD value.  No n or
-# cap passes 20: a sweep samples its n-vertex pair before it refuses n > cap,
-# so an n of millions would allocate gigabytes.  Runs stay at n <= 7 or at
-# n = 11, 16 (or a WILD 12, 20), where noiseless trials are counted by
-# refinement and noisy ones are refused by the scan's byte estimate; no lift
-# table is ever built past n = 10.
+# to two entries, at any depth, dropped or replaced by a WILD value.  No cap
+# passes 20, and an n of 100,000 is refused before its pair is sampled.  Runs
+# stay at n <= 7 or at n = 11, 16 (or a WILD 12, 20), where noiseless trials
+# are counted by refinement and noisy ones are refused by the scan's byte
+# estimate; no lift table is ever built past n = 10.
 
 WILD = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
         | st.sampled_from([-1, 0, 1, 3, 12, 20]) | st.lists(st.integers(-2, 2), max_size=2))
 RATE = st.sampled_from([0, 0.01, 0.05, 0.25, 0.5, 1, 2, 4.0, 10**400, -1e308])
 INTS = {  # mostly valid; the last entries are out of range
-    "n": st.sampled_from([7, 16, 11, 6, 5, 2, 1]),
+    "n": st.sampled_from([7, 16, 11, 6, 5, 2, 1, 100_000]),
     "trials": st.sampled_from([1, 2, 1, 0]),
     "seed": st.sampled_from([0, 7, (1 << 64) - 1, 1 << 64, -1]),
     "threads": st.sampled_from([1, 2, 3, 0]),

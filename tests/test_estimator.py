@@ -400,6 +400,46 @@ def test_refinement_count_matches_scan_at_threshold_densities(n):
             assert ea.refinement_aut_count(g) == scan_aut(g), (n, c, g.to_line())
 
 
+# the 8 asymmetric graphs on 6 vertices, one labelling each
+ASYMMETRIC6 = [
+    [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)],
+    [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)],
+    [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)],
+    [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)],
+    [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)],
+    [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)],
+    [(0, 1), (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)],
+    [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4)],
+]
+
+
+def test_runner_up_distance_on_the_asymmetric_graphs_at_n6():
+    n = 6
+    lifts = np.array([ea.lift(pi) for pi in ea.enumerate_perms(n)])
+    labellings = np.array([ea.Graph.from_edges(n, edges).bits[lifts] for edges in ASYMMETRIC6])
+    # 8 * 6! distinct labelled graphs: each graph is rigid and no two are isomorphic
+    assert len({x.tobytes() for x in labellings.reshape(-1, ea.pair_count(n))}) == 8 * factorial(n)
+    for x in labellings[:, ::6].reshape(-1, ea.pair_count(n)):
+        scores = ea.hamming_scan(x, x, n)
+        assert np.count_nonzero(scores == 0) == 1
+        assert estimator.runner_up_distance(ea.Graph(n, x)) == np.partition(scores, 1)[1], x
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_runner_up_distance_on_sampled_rigid_graphs(n):
+    rng = rng_from_seed(5100 + n)
+    found = 0
+    while found < (4 if n == 10 else 12):
+        g = random_graph(n, rng, density=(1, 2, 3)[found % 3] * log(n) / n)
+        if ea.refinement_aut_count(g) == 1:
+            scores = ea.hamming_scan(g.bits, g.bits, n)
+            assert estimator.runner_up_distance(g) == np.partition(scores, 1)[1], g.to_line()
+            found += 1
+    if n == 10:  # leave no 0.2 GB table cached for the rest of the suite
+        estimator._lift_table.cache_clear()
+        estimator._lex_perm_matrix.cache_clear()
+
+
 def cycles(*lengths):
     edges, start = [], 0
     for length in lengths:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import eralign as ea
-from eralign import estimator, genfunc
+from eralign import estimator, experiment, genfunc
 from eralign.errors import CapExceededError, ConfigError, ParameterError
 from eralign.experiment import (
     CGrid,
@@ -97,15 +97,48 @@ def trial_by_separate_passes(n, p, seed):
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_trial_fields_match_separate_passes(noise):
-    # run_trial counts with count_nonzero and finds the runner-up without a partition
-    for n in (4, 6, 8):
-        for cell in CGrid((0.25, 0.5, 1, 2), noise).cells(n):
+    # run_trial counts with count_nonzero and finds the runner-up without a partition;
+    # a noiseless trial scans nothing, and at n = 9 many of its c >= 1 graphs are rigid
+    grids = [(n, CGrid((0.25, 0.5, 1, 2), noise)) for n in (4, 6, 8)]
+    if noise == 0:
+        grids.append((9, CGrid((1, 2, 3))))
+    strict9 = 0
+    for n, grid in grids:
+        for cell in grid.cells(n):
             for seed in range(25):
                 tr = run_trial(n, cell.p, seed)
                 got = (tr.strict_success, tr.q_size, tr.eta, tr.min_delta_nonid,
                        tr.m_intersection, tr.aut_intersection)
                 assert [type(x) for x in got] == [bool, int, Fraction, int, int, int]
                 assert got == trial_by_separate_passes(n, cell.p, seed), (n, cell, seed)
+                if n == 9:
+                    strict9 += tr.strict_success
+    assert noise or strict9 >= 20
+
+
+def test_trial_refuses_before_sampling(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a pair was sampled")
+
+    monkeypatch.setattr(experiment, "_sample_bits", no_draw)
+    p = ea.PVec(0.5, 0.0, 0.0, 0.5)
+    with pytest.raises(CapExceededError, match="cap 10"):
+        run_trial(100_000, p, seed=0)
+    # 13 bytes per pair: about 65 GB at n = 100,000
+    with pytest.raises(CapExceededError, match="byte budget"):
+        run_trial(100_000, p, seed=0, cap=100_000)
+
+
+def test_noiseless_trial_builds_no_lift_table(monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"lift table built for n={n}")
+
+    monkeypatch.setattr(estimator, "_lift_table", no_build)
+    for cell in CGrid((0.25, 1, 2, 4)).cells(9):
+        for seed in range(10):
+            tr = run_trial(9, cell.p, seed)
+            assert tr.strict_success == (tr.aut_intersection == 1)
+            assert (tr.min_delta_nonid > 0) == tr.strict_success
 
 
 def test_trial_cap_refusal():
