@@ -17,11 +17,14 @@ The table is the scan's one large allocation, so every scan first checks
 its byte estimate against a fixed budget, whatever enumeration cap the
 caller passes.  Concurrent first requests for a table build it once.
 
-Automorphism groups are counted without any n! table, at every n, by
-colour refinement and individualization (McKay & Piperno, "Practical
-graph isomorphism, II", 2014), and a rigid graph's runner-up score, the
-second-smallest of the scan of (g, g), by a pruned prefix search; the
-scan stays the independent oracle of both.
+Automorphism groups are counted without any n! table, at every n.  Twin
+classes (equal open or closed neighbourhoods) are collapsed first, over
+as many passes as collapse something, so |Aut| = prod |C|! * |Aut| of the
+coloured quotient; that quotient's group is counted by colour refinement
+and individualization (McKay & Piperno, "Practical graph isomorphism,
+II", 2014).  A rigid graph's runner-up score, the second-smallest of the
+scan of (g, g), comes from a pruned prefix search.  The scan stays the
+independent oracle of both.
 """
 
 from __future__ import annotations
@@ -317,25 +320,83 @@ def _first_nonsingleton(col, ncol) -> int:
     return next(c for c, size in enumerate(sizes) if size > 1)
 
 
+def _twin_quotient(g: Graph):
+    """g with its twin classes collapsed: (nbrs, colouring, colour count, factor).
+
+    Vertices u, v of one colour are false twins when N(u) = N(v) and true
+    twins when N[u] = N[v].  Each relation is an equivalence, no vertex has
+    twins of both kinds, and swapping two twins is an automorphism.  Each
+    class C of two or more keeps one representative, coloured by (its
+    colour, kind, |C|), and factor gains |C|!.  The within-class symmetric
+    groups form a normal subgroup of Aut, and every automorphism of the
+    coloured quotient lifts, so |Aut(g)| = factor * |Aut(quotient)|.  A
+    collapse can make new twins (k isolated edges become k isolated
+    vertices of one colour), so it repeats until no class collapses.
+    Without twins this is g's adjacency lists and the all-zero colouring.
+    """
+    n = g.n
+    nbrs = [[] for _ in range(n)]
+    mask = [0] * n
+    for i, j in g.edge_list():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        mask[i] |= 1 << j
+        mask[j] |= 1 << i
+    keep, col, factor = list(range(n)), [0] * n, 1
+    alive = (1 << n) - 1
+    open_keys = mask  # a vertex's colour above its neighbour mask; all colours 0
+    while True:
+        keys = (open_keys, [key | 1 << v for key, v in zip(open_keys, keep)])
+        classes = {}
+        for kind, kind_keys in enumerate(keys):
+            if len(set(kind_keys)) < len(keep):
+                for v, key in zip(keep, kind_keys):
+                    classes.setdefault((kind, key), []).append(v)
+        tag = {}
+        for (kind, _), members in classes.items():
+            if len(members) > 1:
+                tag[members[0]] = (col[members[0]], kind, len(members))
+                factor *= factorial(len(members))
+                for v in members[1:]:
+                    alive &= ~(1 << v)
+        if not tag:
+            break
+        keep = [v for v in keep if alive >> v & 1]
+        tags = {v: tag.get(v, (col[v], 0, 1)) for v in keep}
+        rank = {t: r for r, t in enumerate(sorted(set(tags.values())))}
+        for v in keep:
+            col[v] = rank[tags[v]]
+        open_keys = [col[v] << n | mask[v] & alive for v in keep]
+    if len(keep) == n:
+        return nbrs, col, 1, 1
+    index = {v: k for k, v in enumerate(keep)}
+    qcol = [col[v] for v in keep]
+    return ([[index[w] for w in nbrs[v] if w in index] for v in keep], qcol,
+            len(set(qcol)), factor)
+
+
 def refinement_aut_count(g: Graph) -> int:
     """Size of the automorphism group, exactly, without an n! table.
 
-    Individualizing the first vertex of the first non-singleton cell and
+    The twin classes are collapsed first (_twin_quotient): |Aut(g)| is the
+    product of |C|! over the collapsed classes C times |Aut| of the
+    coloured quotient, which the search below counts.  There,
+    individualizing the first vertex of the first non-singleton cell and
     refining, repeatedly, gives a base b_1..b_L and a discrete leaf.  By
     orbit-stabilizer |Aut| is the product over i of the orbit size of b_i
     under the automorphisms fixing b_1..b_{i-1}.  Those orbits are found
     deepest level first: a cell vertex w not yet joined to b_i by a known
     automorphism is tested by a backtracking search for a leaf reached by
     individualizing w in place of b_i with the base leaf's invariant; each
-    automorphism found joins orbits in a union-find.
+    automorphism found joins orbits in a union-find.  The collapse comes
+    first because the search would find each twin swap by a search of its
+    own, at a cost that grows with the square of the twin count on sparse
+    graphs.
     """
-    n = g.n
-    nbrs = [[] for _ in range(n)]
-    for i, j in g.edge_list():
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    nbrs, col0, ncol0, order = _twin_quotient(g)
+    n = len(nbrs)
 
-    path = [_refine(nbrs, [0] * n, 1)]  # (colouring, colour count, invariant)
+    path = [_refine(nbrs, col0, ncol0)]  # (colouring, colour count, invariant)
     base, target = [], []
     while path[-1][1] < n:
         col, ncol, _ = path[-1]
@@ -377,7 +438,6 @@ def refinement_aut_count(g: Graph) -> int:
             x = parent[x]
         return x
 
-    order = 1
     for i in reversed(range(depth)):
         col, ncol, _ = path[i]
         cell = [v for v, c in enumerate(col) if c == target[i]]

@@ -48,7 +48,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     """Outcome of one alignment trial.
 
@@ -285,21 +285,22 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     cells = cfg.cells()
     results: List[List[Optional[TrialResult]]] = [[None] * cfg.trials for _ in cells]
 
-    def work(ci: int, ti: int) -> TrialResult:
-        cell = cells[ci]
-        return run_trial(
-            cfg.n, cell.p, (cfg.seed + ti) & _MASK64, cap=cfg.cap, cell_id=cell.cell_id
-        )
+    def run_share(k: int) -> None:
+        """Trials k, k + threads, ... of the (cell, trial) order."""
+        for task in range(k, len(cells) * cfg.trials, cfg.threads):
+            ci, ti = divmod(task, cfg.trials)
+            cell = cells[ci]
+            results[ci][ti] = run_trial(
+                cfg.n, cell.p, (cfg.seed + ti) & _MASK64, cap=cfg.cap, cell_id=cell.cell_id
+            )
 
-    tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(cfg.trials)]
     if cfg.threads > 1:
+        # one strided share per worker: no future or task tuple per trial
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            futures = [ex.submit(work, ci, ti) for ci, ti in tasks]
-            for (ci, ti), fut in zip(tasks, futures):
-                results[ci][ti] = fut.result()
+            for fut in [ex.submit(run_share, k) for k in range(cfg.threads)]:
+                fut.result()
     else:
-        for ci, ti in tasks:
-            results[ci][ti] = work(ci, ti)
+        run_share(0)
 
     rows: List[Dict] = []
     for cell, trs in zip(cells, results):

@@ -220,7 +220,7 @@ class Graph:
     def edge_list(self):
         ii, jj = pair_array(self.n)
         on = np.flatnonzero(self.bits)
-        return [(int(ii[k]), int(jj[k])) for k in on]
+        return list(zip(ii[on].tolist(), jj[on].tolist()))
 
     def degrees(self) -> np.ndarray:
         ii, jj = pair_array(self.n)

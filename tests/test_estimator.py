@@ -391,6 +391,67 @@ def test_refinement_count_matches_scan_on_every_small_graph():
             assert ea.refinement_aut_count(comp) == scan_aut(comp), (n, mask)
 
 
+def test_refinement_count_matches_scan_on_every_labelled_graph_at_n6():
+    # the 2^15 labelled graphs at n = 6 are closed under complement
+    n, t = 6, ea.pair_count(6)
+    for mask in range(1 << t):
+        g = ea.Graph(n, np.array([(mask >> k) & 1 for k in range(t)], dtype=np.uint8))
+        assert ea.refinement_aut_count(g) == scan_aut(g), mask
+
+
+def disjoint_union(*graphs):
+    edges, start = [], 0
+    for g in graphs:
+        edges += [(start + i, start + j) for i, j in g.edge_list()]
+        start += g.n
+    return ea.Graph.from_edges(start, edges)
+
+
+def complete_multipartite(*sizes):
+    part = [k for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return ea.Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]]
+    )
+
+
+def twin_built_graphs():
+    """(name, graph, |Aut|): graphs whose every symmetry comes from twins,
+    most of them collapsing over two or more passes."""
+    k2, k1 = ea.Graph.complete(2), ea.Graph.empty(1)
+    for k in range(1, 5):
+        for m in range(0, 4):
+            yield (f"{k}K2+{m}K1", disjoint_union(*[k2] * k, *[k1] * m),
+                   2**k * factorial(k) * factorial(m))
+    for a in range(1, 5):
+        for b in range(a, 6):
+            want = 2 * factorial(a) ** 2 if a == b else factorial(a) * factorial(b)
+            yield f"K{a},{b}", complete_multipartite(a, b), want
+    yield "K2,2,2", complete_multipartite(2, 2, 2), 48
+    for m in range(2, 6):
+        for j in range(0, 4):
+            yield (f"K1,{m}+{j}K1", disjoint_union(complete_multipartite(1, m), *[k1] * j),
+                   factorial(m) * factorial(j))
+
+
+def test_refinement_count_closed_forms_through_repeated_twin_collapse():
+    rng = rng_from_seed(6100)
+    for name, g, want in twin_built_graphs():
+        relabelled = ea.anonymize(g, ea.Permutation.random(g.n, rng))
+        for h in (g, ea.Graph(g.n, 1 - g.bits), relabelled):
+            assert ea.refinement_aut_count(h) == want, (name, h.to_line())
+            # the collapse alone finds every symmetry of these graphs
+            assert estimator._twin_quotient(h)[3] == want, (name, h.to_line())
+
+
+def test_refinement_count_isolated_edges_past_the_scan():
+    # 8 isolated edges, 6 isolated vertices and a rigid part at n = 28
+    g = disjoint_union(*[ea.Graph.complete(2)] * 8, ea.Graph.empty(6), RIGID6)
+    want = 2**8 * factorial(8) * factorial(6)
+    assert ea.refinement_aut_count(g) == want
+    assert ea.refinement_aut_count(ea.Graph(g.n, 1 - g.bits)) == want
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_refinement_count_matches_scan_at_threshold_densities(n):
     rng = rng_from_seed(4000 + n)

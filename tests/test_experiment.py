@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -218,6 +219,37 @@ def test_sweep_thread_count_invariance():
     base = SweepConfig(n=6, trials=24, seed=4242, grid=CGrid((0.5, 2.0)))
     multi = SweepConfig(n=6, trials=24, seed=4242, grid=CGrid((0.5, 2.0)), threads=4)
     assert run_sweep(base).csv_text == run_sweep(multi).csv_text
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_sweep_strided_threads_give_the_serial_trials(noise):
+    # 5 cells x 7 trials: neither 2 nor 3 divides the 35 trials or the 7
+    def key(tr):
+        return replace(tr, wall_time=0.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost write would show
+    try:
+        runs = [run_sweep(SweepConfig(n=7, trials=7, seed=31, threads=threads,
+                                      grid=CGrid((0.25, 0.5, 1.0, 2.0, 3.0), noise)))
+                for threads in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    serial = runs[0]
+    assert [len(trs) for trs in serial.trial_results] == [7] * 5
+    for res in runs[1:]:
+        assert res.csv_text == serial.csv_text
+        assert ([[key(tr) for tr in trs] for trs in res.trial_results]
+                == [[key(tr) for tr in trs] for trs in serial.trial_results])
+
+
+def test_threaded_sweep_refusal_propagates():
+    # noisy pairs at n = 11 need an 11! scan, past the byte budget
+    for threads in (1, 2):
+        cfg = SweepConfig(n=11, trials=3, seed=1, grid=CGrid((1.0,), 0.05), threads=threads,
+                          cap=11)
+        with pytest.raises(CapExceededError, match="byte budget"):
+            run_sweep(cfg)
 
 
 def test_sweep_bad_cell_names_cell():
