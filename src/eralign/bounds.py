@@ -139,6 +139,8 @@ def dense_tail_base(n: int, p: PVec) -> BoundReport:
     """Per-moved-vertex decay base z2 = exp(-(n-2)/2 * correlation gap).
 
     For every permutation moving nt vertices, P[score change <= 0] <= z2^nt.
+    A base of 1 or more (every n <= 2) bounds nothing and is flagged
+    uninformative.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -150,6 +152,7 @@ def dense_tail_base(n: int, p: PVec) -> BoundReport:
     return BoundReport(
         name="dense-base",
         value=_finite("dense-base", value),
+        uninformative=value >= 1,
         inputs={"n": n, "p": p.as_floats()},
         extras={"gap": gap},
     )

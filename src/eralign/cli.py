@@ -58,8 +58,10 @@ def _cmd_gen(args) -> int:
     if args.subsampling:
         r, sa, sb = parse_list(args.subsampling, float, "subsampling parameters r,sa,sb", 3)
         p = subsampling_to_pvec(SubsamplingParams(r, sa, sb))
-    else:
+    elif args.p is not None:
         p = _parse_pvec(args.p)
+    else:
+        raise ConfigError("either --p or --subsampling is required")
     pair = sample_pair(args.n, p, args.seed)
     print(pair.ga.to_line())
     print(pair.gb.to_line())

@@ -13,9 +13,9 @@ rows of one level, and widens the running per-block sums to the next
 level's blocks only when a deeper level needs them.  At n = 9, 21 of the
 36 rows are read at a stride of 2 or more.
 
-The table is the scan's one large allocation, so every scan first checks
-its byte estimate against a fixed budget, whatever enumeration cap the
-caller passes.  Concurrent first requests for a table build it once.
+The table is the scan's one large allocation and its one cache, so every
+scan first checks its bytes against a fixed budget (require_bytes),
+whatever cap the caller passes.  Concurrent first scans build it once.
 
 Automorphism groups are counted without any n! table, at every n.  Twin
 classes (equal open or closed neighbourhoods) are collapsed first, over
@@ -39,29 +39,8 @@ import numpy as np
 
 from .errors import CapExceededError, ParameterError
 from .model import Graph, intersection, pair_array, pair_count
-from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank
+from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank, lex_unrank, require_cap
 
-_BUILD_LOCK = threading.RLock()
-
-
-def _built_once(fn):
-    """lru_cache(maxsize=3) whose lookups hold one re-entrant lock.
-
-    Threads that ask for the same table at once wait for one build
-    instead of each building it.
-    """
-    cached = functools.lru_cache(maxsize=3)(fn)
-
-    @functools.wraps(fn)
-    def get(n: int) -> np.ndarray:
-        with _BUILD_LOCK:
-            return cached(n)
-
-    get.cache_clear = cached.cache_clear
-    return get
-
-
-@_built_once
 def _lex_perm_matrix(n: int) -> np.ndarray:
     """All permutations of [n] in lexicographic order, one per row (int8)."""
     if n == 1:
@@ -93,7 +72,11 @@ def _build_lift_table(n: int) -> np.ndarray:
     return out
 
 
-@_built_once
+#: held while _lift_table is read, so threads that ask at once wait for one build
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=3)
 def _lift_table(n: int) -> np.ndarray:
     """The pair-major lift table at n, built once per n."""
     return _build_lift_table(n)
@@ -113,19 +96,11 @@ def scan_fits(n: int) -> bool:
     return lift_table_bytes(n) <= SCAN_BYTE_BUDGET
 
 
-def _require_cap(n: int, cap: int) -> None:
-    if n > cap:
+def require_bytes(need: int, what: str) -> None:
+    """Refuse need bytes past SCAN_BYTE_BUDGET with CapExceededError naming what."""
+    if need > SCAN_BYTE_BUDGET:
         raise CapExceededError(
-            f"exhaustive scan over {n}! permutations exceeds cap {cap}"
-        )
-
-
-def _require_scan_fits(n: int) -> None:
-    if not scan_fits(n):
-        raise CapExceededError(
-            f"exhaustive scan over {n}! permutations needs a "
-            f"{lift_table_bytes(n) / 1e9:.1f} GB lift table, over the "
-            f"{SCAN_BYTE_BUDGET}-byte budget"
+            f"{what} needs {need / 1e9:.1f} GB, over the {SCAN_BYTE_BUDGET}-byte budget"
         )
 
 
@@ -136,12 +111,13 @@ def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM
     CapExceededError before allocating when n exceeds cap or the lift
     table would not fit in SCAN_BYTE_BUDGET.
     """
-    _require_cap(n, cap)
-    _require_scan_fits(n)
+    require_cap(n, cap, "an exhaustive scan")
+    require_bytes(lift_table_bytes(n), "an exhaustive scan's lift table")
     t = pair_count(n)
     if xa.shape != (t,) or xb.shape != (t,):
         raise ParameterError("label vectors do not match n")
-    lifted = _lift_table(n)
+    with _TABLE_LOCK:
+        lifted = _lift_table(n)
     ea = int(xa.sum())
     eb = int(xb.sum())
     edge_cols = np.flatnonzero(xb)
@@ -217,7 +193,7 @@ def map_estimate(
     best_idx = int(np.argmin(deltas))  # first minimizer in lexicographic order
     dmin = int(deltas[best_idx])
     ties = int(np.count_nonzero(deltas == dmin))
-    best = Permutation(tuple(int(x) for x in _lex_perm_matrix(gc.n)[best_idx]))
+    best = Permutation(lex_unrank(best_idx, gc.n))
     if planted is None:
         return AlignmentResult(best, dmin, ties, ties, False, Fraction(0), None)
     if planted.n != gc.n:
@@ -284,7 +260,7 @@ def runner_up_distance(g: Graph) -> int:
 
 def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Size of the automorphism group, by refinement_aut_count; refuses n > cap."""
-    _require_cap(g.n, cap)
+    require_cap(g.n, cap, "an automorphism count")
     return refinement_aut_count(g)
 
 

@@ -22,10 +22,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import genfunc
-from .errors import CapExceededError, ConfigError, ParameterError
-from .estimator import (
-    SCAN_BYTE_BUDGET, automorphism_count, map_estimate, runner_up_distance, scan_fits,
-)
+from .errors import ConfigError, ParameterError
+from .estimator import automorphism_count, map_estimate, require_bytes, runner_up_distance, scan_fits
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -36,10 +34,10 @@ from .genfunc import (
     shift_type_sum,
 )
 from .model import (
-    SAMPLE_BYTES_PER_PAIR, Graph, PVec, SubsamplingParams, anonymize, intersection, pair_count,
+    SAMPLE_BYTES_PER_PAIR, Graph, PVec, SubsamplingParams, intersection, pair_count,
     rng_from_seed, subsampling_to_pvec, _sample_bits,
 )
-from .perms import DEFAULT_ENUM_CAP, Permutation
+from .perms import DEFAULT_ENUM_CAP, Permutation, require_cap
 
 CSV_COLUMNS = ("n", "p11", "p10", "p01", "p00", "trials", "strict_rate", "mean_eta", "mean_q",
                "mean_aut", "seed")
@@ -215,11 +213,11 @@ class SweepConfig:
 def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: str = "") -> TrialResult:
     """One alignment trial: sample a pair and score its MAP alignment.
 
-    The trial generator first draws the pair labels (so the graphs match
-    ``sample_pair(n, p, seed)`` exactly) and then, for a noisy pair, the
-    planted permutation by Fisher-Yates from the same stream; no field
-    depends on it.  CapExceededError is raised before
-    anything is drawn when n > cap or the draw would pass SCAN_BYTE_BUDGET.
+    The graphs match ``sample_pair(n, p, seed)`` exactly and are scored as
+    sampled, with the identity as the planted alignment: relabelling the
+    first graph by a uniform permutation would only permute the n! scores,
+    so no field would change.  CapExceededError is raised before anything
+    is drawn when n > cap or the draw would pass SCAN_BYTE_BUDGET.
 
     An identical pair (every noiseless trial) is scored without a scan: the
     planted alignment scores 0, so Q is the coset of Aut(gb) through it and
@@ -229,14 +227,9 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     scanned, so past the scan's byte budget they raise CapExceededError.
     """
     t0 = time.perf_counter()
-    if n > cap:
-        raise CapExceededError(f"a trial at n = {n} exceeds cap {cap}")
-    need = SAMPLE_BYTES_PER_PAIR * pair_count(n)
-    if need > SCAN_BYTE_BUDGET:
-        raise CapExceededError(f"sampling a pair at n = {n} needs {need / 1e9:.1f} GB, "
-                               f"over the {SCAN_BYTE_BUDGET}-byte budget")
-    rng = rng_from_seed(seed)
-    ga_bits, gb_bits = _sample_bits(n, p, rng)
+    require_cap(n, cap, "a trial")
+    require_bytes(SAMPLE_BYTES_PER_PAIR * pair_count(n), "sampling a pair")
+    ga_bits, gb_bits = _sample_bits(n, p, rng_from_seed(seed))
     gb = Graph(n, gb_bits)
     if np.array_equal(ga_bits, gb_bits):
         aut = automorphism_count(gb, cap=cap)
@@ -249,8 +242,7 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
         q_size, strict, eta, gw = aut, aut == 1, Fraction(1, aut), gb
     else:
         ga = Graph(n, ga_bits)
-        pi = Permutation.random(n, rng)
-        res = map_estimate(anonymize(ga, pi), gb, planted=pi, cap=cap)
+        res = map_estimate(ga, gb, planted=Permutation.identity(n), cap=cap)
         gw = intersection(ga, gb)
         aut = automorphism_count(gw, cap=cap)
         q_size, strict, eta, gap = res.q_size, res.strict_success, res.eta, res.min_delta_nonid

@@ -28,7 +28,7 @@ from math import comb
 from typing import Dict, Tuple, Union
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import PVec
+from .model import PVec, bijection
 from .perms import CycleType
 
 #: enumeration guard: oracles walk 4^l (or 4^t) labelings
@@ -324,12 +324,11 @@ def _census(tau: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int, int, int, int],
     its (1,1) positions that tau moves, and the score change
     d = (|a o tau ^ b| - |a ^ b|) / 2.  Weight-free, so one walk serves
     every weight matrix; a tuple, so the cached value cannot be mutated.
+    tau must already be a bijection of ints (model.bijection).
     """
     t = len(tau)
     if t > ENUM_CAP:
         raise CapExceededError(f"4^{t} labelings exceed cap 4^{ENUM_CAP}")
-    if sorted(tau) != list(range(t)):
-        raise ParameterError("not a bijection on pair indices")
     moved = sum(1 << e for e in range(t) if tau[e] != e)
     groups: Counter = Counter()
     for a in range(1 << t):
@@ -353,7 +352,7 @@ def _shift(ell: int) -> Tuple[int, ...]:
 def _joint_weights(tau, w: WMatrix) -> Dict[Tuple[int, int, int], Fraction]:
     """Total weight of the labelings of tau by (matches, moved matches, score change)."""
     out: Dict[Tuple[int, int, int], Fraction] = {}
-    for (k11, k10, k01, mt, d), cnt in _census(tuple(int(x) for x in tau)):
+    for (k11, k10, k01, mt, d), cnt in _census(bijection(tau, "pair permutation")):
         key = (k11, mt, d)
         out[key] = out.get(key, Fraction(0)) + cnt * _type_weight(w, len(tau), k11, k10, k01)
     return {k: q for k, q in out.items() if q}
@@ -452,17 +451,22 @@ def perm_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
     return nontrivial_gf(ct, w) * w.total() ** ct.t1
 
 
+def _census_product(ct: CycleType, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
+    """Product of block_gf(l, u, v) ** t_l over the cycle lengths l >= 2 of ct."""
+    out = u**0  # the one polynomial of u's kind
+    for ell, t_ell in ct.items():
+        if ell >= 2:
+            out = out * block_gf(ell, u, v) ** t_ell
+    return out
+
+
 def nontrivial_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
     """Product of the cycle factors of length >= 2 only.
 
     With probability weights this is exactly the distribution of the score
     change, since fixed points contribute a constant factor of total weight 1.
     """
-    out = LaurentPoly.one()
-    for ell, t_ell in ct.items():
-        if ell >= 2:
-            out = out * cycle_gf(ell, w) ** t_ell
-    return out
+    return _census_product(ct, LaurentPoly.const(w.total()), score_weight_poly(w))
 
 
 def joint_pmf(ct: CycleType, p: PVec) -> LaurentPoly:
@@ -477,11 +481,7 @@ def joint_pmf(ct: CycleType, p: PVec) -> LaurentPoly:
     a = p00 * p11
     b = p01 * p10
     v = LaurentPoly({(1, 1): a, (1, 0): -a, (0, -1): b, (0, 0): -b})
-    out = LaurentPoly({(0, 0): 1})
-    for ell, t_ell in ct.items():
-        if ell >= 2:
-            out = out * block_gf(ell, u, v) ** t_ell
-    return out
+    return _census_product(ct, u, v)
 
 
 def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:

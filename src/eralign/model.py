@@ -15,9 +15,10 @@ bound evaluation.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -379,19 +380,26 @@ def sample_pair(n: int, p: PVec, seed: int) -> CorrelatedPair:
     return CorrelatedPair(Graph(n, ga), Graph(n, gb))
 
 
-def _perm_images(pi) -> Sequence[int]:
-    images = tuple(pi.images) if hasattr(pi, "images") else tuple(int(x) for x in pi)
-    seen = sorted(images)
-    if seen != list(range(len(images))):
-        raise ParameterError("not a bijection on [n]")
+def bijection(seq, what: str, size: int | None = None) -> tuple[int, ...]:
+    """seq as a tuple of ints that is a bijection on [len(seq)], else ParameterError naming what.
+
+    Entries are read with operator.index, so floats, strings and nested
+    sequences are refused, not truncated; so is a length other than size.
+    """
+    try:
+        images = tuple(map(operator.index, seq))
+    except TypeError as exc:
+        raise ParameterError(f"{what} must be a sequence of integers: {exc}") from exc
+    if size is not None and len(images) != size:
+        raise ParameterError(f"{what} has {len(images)} entries, expected {size}")
+    if sorted(images) != list(range(len(images))):
+        raise ParameterError(f"{what} is not a bijection on [{len(images)}]: {images}")
     return images
 
 
 def anonymize(g: Graph, pi) -> Graph:
-    """Relabel vertices by pi: output({pi(i),pi(j)}) = g({i,j})."""
-    images = _perm_images(pi)
-    if len(images) != g.n:
-        raise ParameterError(f"permutation on [{len(images)}] does not match n={g.n}")
+    """Relabel vertices by pi, a Permutation or images: output({pi(i),pi(j)}) = g({i,j})."""
+    images = bijection(getattr(pi, "images", pi), "permutation", size=g.n)
     out = np.zeros_like(g.bits)
     out[lifted_pairs(images)] = g.bits
     return Graph(g.n, out)
@@ -417,15 +425,6 @@ def type_matrix(fa: Graph, fb: Graph) -> TypeMatrix:
     return TypeMatrix(k00=k00, k01=k01, k10=k10, k11=k11)
 
 
-def _check_pair_perm(tau, t: int) -> np.ndarray:
-    arr = np.asarray(tau, dtype=np.int64)
-    if arr.shape != (t,):
-        raise ParameterError(f"pair permutation must have length {t}, got shape {arr.shape}")
-    if not np.array_equal(np.sort(arr), np.arange(t)):
-        raise ParameterError("pair permutation is not a bijection on the pair indices")
-    return arr
-
-
 def delta_stat(tau, ga: Graph, gb: Graph) -> int:
     """Alignment score change of the pair relabeling tau.
 
@@ -435,8 +434,7 @@ def delta_stat(tau, ga: Graph, gb: Graph) -> int:
     """
     if ga.n != gb.n:
         raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
-    arr = _check_pair_perm(tau, len(ga.bits))
-    composed = ga.bits[arr]
+    composed = ga.bits[list(bijection(tau, "pair permutation", size=len(ga.bits)))]
     before = type_matrix(ga, gb)
     after = type_matrix(Graph(ga.n, composed), gb)
     d2 = after.hamming - before.hamming

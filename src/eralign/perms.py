@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import lifted_pairs, pair_count
+from .model import bijection, lifted_pairs, pair_count
 
 #: default guard against accidental factorial blowup in exhaustive scans
 DEFAULT_ENUM_CAP = 10
@@ -31,10 +31,7 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
-        if sorted(images) != list(range(len(images))):
-            raise ParameterError(f"not a bijection on [{len(images)}]: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", bijection(self.images, "permutation"))
 
     @property
     def n(self) -> int:
@@ -99,6 +96,18 @@ def lex_rank(images: Sequence[int]) -> int:
     return rank
 
 
+def lex_unrank(rank: int, n: int) -> tuple[int, ...]:
+    """The image sequence of lexicographic rank `rank` over [n]; the inverse of lex_rank."""
+    if not 0 <= rank < factorial(n):
+        raise ParameterError(f"rank {rank} is outside [0, {n}!)")
+    rest = list(range(n))
+    images = []
+    for i in range(n - 1, -1, -1):
+        k, rank = divmod(rank, factorial(i))
+        images.append(rest.pop(k))
+    return tuple(images)
+
+
 def lift(pi: Permutation) -> np.ndarray:
     """Pair permutation induced by a vertex permutation: {i,j} -> {pi(i),pi(j)}."""
     return lifted_pairs(pi.images)
@@ -146,11 +155,9 @@ class CycleType:
 
 def cycle_type(tau) -> CycleType:
     """Exact cycle census of any bijection given as an image sequence."""
-    arr = np.asarray(tau, dtype=np.int64)
-    m = arr.shape[0]
-    if not np.array_equal(np.sort(arr), np.arange(m)):
-        raise ParameterError("not a bijection")
-    seen = np.zeros(m, dtype=bool)
+    arr = bijection(tau, "permutation")
+    m = len(arr)
+    seen = [False] * m
     counts: Dict[int, int] = {}
     for start in range(m):
         if seen[start]:
@@ -159,7 +166,7 @@ def cycle_type(tau) -> CycleType:
         e = start
         while not seen[e]:
             seen[e] = True
-            e = int(arr[e])
+            e = arr[e]
             length += 1
         counts[length] = counts.get(length, 0) + 1
     return CycleType.from_mapping(counts, size=m)
@@ -184,13 +191,15 @@ def count_support(n: int, n_tilde: int) -> int:
     return comb(n, n_tilde) * derangements(n_tilde)
 
 
+def require_cap(n: int, cap: int, what: str) -> None:
+    """Refuse n > cap with CapExceededError; what names the refused work."""
+    if n > cap:
+        raise CapExceededError(f"{what} at n = {n} exceeds cap {cap}")
+
+
 def enumerate_perms(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Permutation]:
     """All n! permutations in lexicographic order of image sequences, identity first."""
-    if n > cap:
-        raise CapExceededError(
-            f"refusing to enumerate {n}! permutations (n={n} exceeds cap {cap}); "
-            f"raise the cap explicitly if you mean it"
-        )
+    require_cap(n, cap, "enumerating all permutations")
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
 

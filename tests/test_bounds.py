@@ -51,6 +51,14 @@ def test_dense_base_small_n_is_one():
     assert rep.value == 1.0
 
 
+def test_dense_base_flags_bases_of_one_or_more():
+    p = ea.PVec(F(1, 2), 0, 0, F(1, 2))
+    one, two, three = (ea.dense_tail_base(n, p) for n in (1, 2, 3))
+    assert one.value > 1 and one.uninformative
+    assert two.value == 1.0 and two.uninformative
+    assert three.value < 1 and not three.uninformative
+
+
 def test_dense_base_plug_in():
     rep = ea.dense_tail_base(102, ea.PVec(0.5, 0.0, 0.0, 0.5))
     assert rep.value == pytest.approx(exp(-12.5))

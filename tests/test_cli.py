@@ -208,6 +208,7 @@ def test_align_missing_file_is_io_error(tmp_path, capsys):
 
 
 MALFORMED_ARGV = {
+    "gen-no-p": ["gen", "--n", "3"],
     "p-letters": ["gen", "--n", "4", "--p", "a,b,c,d"],
     "p-nan": ["gen", "--n", "4", "--p", "nan,0,0,1"],
     "subsampling-short": ["gen", "--n", "4", "--subsampling", "0.5,0.5"],

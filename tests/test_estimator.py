@@ -498,7 +498,6 @@ def test_runner_up_distance_on_sampled_rigid_graphs(n):
             found += 1
     if n == 10:  # leave no 0.2 GB table cached for the rest of the suite
         estimator._lift_table.cache_clear()
-        estimator._lex_perm_matrix.cache_clear()
 
 
 def cycles(*lengths):
@@ -581,6 +580,40 @@ def test_scan_byte_guard(monkeypatch):
             ea.q_set_size(big, big, cap=n)
         with pytest.raises(CapExceededError, match="byte budget"):
             ea.intersection_aut_check(big, big, cap=n)
+
+
+NOISY = ea.PVec(0.4, 0.1, 0.1, 0.4)
+ZEROS6, ZEROS11 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 11))
+# each caller of perms.require_cap and estimator.require_bytes, with the words its message must hold
+GUARDED = {
+    "enumerate_perms-cap": (lambda: next(ea.enumerate_perms(5, cap=4)), "cap 4"),
+    "hamming_scan-cap": (lambda: ea.hamming_scan(ZEROS6, ZEROS6, 6, cap=5), "cap 5"),
+    "automorphism_count-cap": (lambda: ea.automorphism_count(ea.Graph.empty(7), cap=6), "cap 6"),
+    "run_trial-cap": (lambda: ea.run_trial(8, NOISY, 0, cap=7), "cap 7"),
+    "hamming_scan-bytes": (lambda: ea.hamming_scan(ZEROS11, ZEROS11, 11, cap=11), "byte budget"),
+    "run_trial-bytes": (lambda: ea.run_trial(100_000, NOISY, 0, cap=100_000), "byte budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDED))
+def test_each_guard_names_its_limit(case, monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"lift table built for n={n}")
+
+    monkeypatch.setattr(estimator, "_lift_table", no_build)
+    refused, words = GUARDED[case]
+    with pytest.raises(CapExceededError) as exc:
+        refused()
+    assert words in str(exc.value)
+
+
+def test_guards_refuse_only_past_their_limit():
+    ea.perms.require_cap(4, 4, "a scan")
+    estimator.require_bytes(estimator.SCAN_BYTE_BUDGET, "a table")
+    with pytest.raises(CapExceededError, match="a scan at n = 5 exceeds cap 4"):
+        ea.perms.require_cap(5, 4, "a scan")
+    with pytest.raises(CapExceededError, match="a table needs 1.1 GB, over the 1073741824-byte budget"):
+        estimator.require_bytes(estimator.SCAN_BYTE_BUDGET + 1, "a table")
 
 
 def test_isolated_count():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import eralign as ea
 from eralign.errors import DomainError, ParameterError
-from eralign.model import pair_index, rng_from_seed
+from eralign.model import bijection, pair_index, rng_from_seed
 
 
 def graph_strategy(max_n=6):
@@ -257,6 +257,35 @@ def test_delta_stat_rejects_non_bijection():
     g = ea.Graph.empty(3)
     with pytest.raises(ParameterError):
         ea.delta_stat([0, 0, 1], g, g)
+
+
+def test_bijection_reads_integers_and_checks_size():
+    assert bijection(np.array([2, 0, 1]), "pi") == (2, 0, 1)
+    assert all(type(x) is int for x in bijection(np.array([1, 0], dtype=np.int8), "pi"))
+    with pytest.raises(ParameterError, match="pi has 2 entries, expected 3"):
+        bijection((1, 0), "pi", size=3)
+    with pytest.raises(ParameterError, match="pi is not a bijection"):
+        bijection((0, 0, 1), "pi")
+
+
+G3 = ea.Graph.from_edges(3, [(0, 1)])
+# every caller of model.bijection; n = 3 has 3 vertex pairs, so each takes a length-3 sequence
+BIJECTION_CALLERS = {
+    "Permutation": ea.Permutation,
+    "cycle_type": ea.cycle_type,
+    "anonymize": lambda seq: ea.anonymize(G3, seq),
+    "delta_stat": lambda seq: ea.delta_stat(seq, G3, G3),
+    "census": lambda seq: ea.joint_enum(seq, ea.PVec.uniform()),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(BIJECTION_CALLERS))
+@pytest.mark.parametrize("seq", [(0.9, 1.2, 2.0), "012", [[0, 1, 2]]],
+                         ids=["floats", "string", "nested"])
+def test_bijection_callers_refuse_what_is_not_integers(caller, seq):
+    BIJECTION_CALLERS[caller]((0, 1, 2))  # the same entries as integers pass
+    with pytest.raises(ParameterError):
+        BIJECTION_CALLERS[caller](seq)
 
 
 def test_delta_routes_agree_and_type_diff_form():

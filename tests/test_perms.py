@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import eralign as ea
 from eralign.errors import CapExceededError, DomainError, ParameterError
-from eralign.perms import derangements, lex_rank
+from eralign.perms import derangements, lex_rank, lex_unrank
 
 
 def test_permutation_validation():
@@ -113,6 +113,17 @@ def test_enumerate_perms_cap():
 def test_lex_rank_matches_enumeration_order():
     for idx, p in enumerate(ea.enumerate_perms(5)):
         assert lex_rank(p.images) == idx
+
+
+def test_lex_unrank_inverts_lex_rank():
+    for n in range(8):
+        for p in ea.enumerate_perms(n):
+            assert lex_unrank(lex_rank(p.images), n) == p.images
+    assert lex_unrank(0, 10) == tuple(range(10))
+    assert lex_unrank(factorial(10) - 1, 10) == tuple(reversed(range(10)))
+    for rank in (-1, factorial(4)):
+        with pytest.raises(ParameterError):
+            lex_unrank(rank, 4)
 
 
 def test_perm_gf_check_values():
