@@ -4,16 +4,20 @@ Every asymptotic symbol in the underlying analysis becomes an explicit knob
 here: additive margins replace omega(1) terms and user constants replace
 O(.) factors (defaults: margin=2, constants=1).  Natural logarithms
 throughout.  Bounds that exceed 1 are reported capped with an
-``uninformative`` flag instead of raising, so parameter sweeps never abort.
+``uninformative`` flag instead of raising, so parameter sweeps never abort;
+so are bounds whose arithmetic would leave the float range.  Every count
+passes _count and every real _real, which refuse what no float can hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import operator
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, exp, log, log1p, sqrt
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .errors import DomainError, ParameterError
 from .genfunc import WMatrix
@@ -27,14 +31,60 @@ REGION_ACH_DENSE = "achievable-dense"
 REGION_UNCLASSIFIED = "unclassified"
 
 
+#: float(x) of a rational x succeeds exactly when |x| < FLOAT_EDGE; past it, x rounds to 2^1024
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+def _count(name: str, value, low: Optional[int] = None,
+           high: Optional[Tuple[str, int]] = None) -> int:
+    """value read with operator.index, else ParameterError: one a float can hold,
+    at least low and, where high = (its name, its value) is given, at most high."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from exc
+    if not abs(value) < FLOAT_EDGE:
+        raise ParameterError(f"{name} has {len(str(abs(value)))} digits, past float range (2^1024)")
+    if high is not None and not low <= value <= high[1]:
+        raise ParameterError(f"{name} must be in [{low}, {high[0]}], got {value}")
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real(value, within: Callable[[float], bool], rule: str, error=ParameterError) -> float:
+    """value as a finite float for which within holds, else error(rule); within
+    states the range as the condition that holds, so NaN fails it."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{rule}, got {value!r}")
+    x = math.inf if abs(value) >= FLOAT_EDGE else float(value)
+    if not (math.isfinite(x) and within(x)):
+        raise error(f"{rule}, got {x}" + ("" if math.isfinite(x) else " (reals must be finite)"))
+    return x
+
+
 def _weights(w: Union[WMatrix, PVec]):
-    """Extract (w00, w01, w10, w11) as floats from a weight matrix or a PVec."""
+    """(w00, w01, w10, w11) as positive floats from a weight matrix or a PVec."""
     if isinstance(w, WMatrix):
-        return tuple(float(x) for x in w.as_tuple())
-    if isinstance(w, PVec):
-        p11, p10, p01, p00 = w.as_floats()
-        return (p00, p01, p10, p11)
-    raise ParameterError(f"expected WMatrix or PVec, got {type(w).__name__}")
+        w00, w01, w10, w11 = w.as_tuple()
+    elif isinstance(w, PVec):
+        w11, w10, w01, w00 = w.as_tuple()
+    else:
+        raise ParameterError(f"expected WMatrix or PVec, got {type(w).__name__}")
+    return tuple(
+        _real(x, lambda v: v > 0, "all four weights must be strictly positive", DomainError)
+        for x in (w00, w01, w10, w11)
+    )
+
+
+def _correlation(p11: float, p10: float, p01: float, p00: float) -> Tuple[bool, float]:
+    """The correlation's sign, p01*p10 < p11*p00, and gap, (sqrt(p11*p00) - sqrt(p01*p10))^2."""
+    return p01 * p10 < p11 * p00, (sqrt(p11 * p00) - sqrt(p01 * p10)) ** 2
+
+
+def _primed(p11: float, p10: float, p01: float, p00: float) -> Tuple[float, float, float]:
+    """(p'00, p'01, p'10) with p'ij = p_ij/(1 - p11), the labels of a pair that is not 11."""
+    return p00 / (1 - p11), p01 / (1 - p11), p10 / (1 - p11)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -46,7 +96,6 @@ def _power(base: float, exponent: float) -> float:
 
 
 def _finite(name: str, value: float) -> float:
-    value = float(value)
     if math.isnan(value):
         raise AssertionError(f"{name} produced NaN")
     return value
@@ -79,15 +128,13 @@ class BoundReport:
                 return [conv(v) for v in x]
             return x
 
-        return {
-            "name": self.name,
-            "value": conv(self.value),
-            "valid": self.valid,
-            "uninformative": self.uninformative,
-            "inputs": conv(self.inputs),
-            "extras": conv(self.extras),
-            "notes": self.notes,
-        }
+        return conv(asdict(self))
+
+
+def _capped(name: str, value: float, inputs: Dict, notes: str, valid: bool = True) -> BoundReport:
+    """A bound that is not evaluated, reported as value and flagged uninformative."""
+    return BoundReport(name=name, value=value, valid=valid, uninformative=True, inputs=inputs,
+                       notes=notes)
 
 
 @dataclass(frozen=True)
@@ -115,20 +162,18 @@ def delta_tail_bound(w: Union[WMatrix, PVec], t_tilde: int) -> BoundReport:
     attained by tilting at z1 = sqrt(w01*w10 / (w00*w11)).
     """
     w00, w01, w10, w11 = _weights(w)
-    if min(w00, w01, w10, w11) <= 0:
-        raise DomainError("all four weights must be strictly positive")
-    if not w01 * w10 < w00 * w11:
+    corr, gap = _correlation(w11, w10, w01, w00)
+    if not corr:
         raise DomainError("requires w01*w10 < w00*w11 (positive correlation)")
-    if t_tilde < 0:
-        raise ParameterError(f"t_tilde must be >= 0, got {t_tilde}")
+    t_tilde = _count("t_tilde", t_tilde, 0)
     u = w00 + w01 + w10 + w11
-    gap = (sqrt(w00 * w11) - sqrt(w01 * w10)) ** 2
-    base = u * u - 2 * gap
+    # gap <= u^2/4, so only u*u can overflow; the base then lies past float range
+    base = u * u - 2 * gap if math.isfinite(u * u) else math.inf
     value = _power(base, t_tilde / 2)
     z1 = sqrt((w01 * w10) / (w00 * w11))
     return BoundReport(
         name="delta-tail",
-        value=_finite("delta-tail", value),
+        value=value,
         uninformative=math.isinf(value),
         inputs={"w": (w00, w01, w10, w11), "t_tilde": t_tilde},
         extras={"z1": z1, "base": base},
@@ -142,16 +187,14 @@ def dense_tail_base(n: int, p: PVec) -> BoundReport:
     A base of 1 or more (every n <= 2) bounds nothing and is flagged
     uninformative.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    p11, p10, p01, p00 = p.as_floats()
-    if not p01 * p10 < p11 * p00:
+    n = _count("n", n, 1)
+    corr, gap = _correlation(*p.as_floats())
+    if not corr:
         raise DomainError("requires positive correlation p01*p10 < p11*p00")
-    gap = (sqrt(p11 * p00) - sqrt(p01 * p10)) ** 2
     value = exp(-0.5 * (n - 2) * gap)
     return BoundReport(
         name="dense-base",
-        value=_finite("dense-base", value),
+        value=value,
         uninformative=value >= 1,
         inputs={"n": n, "p": p.as_floats()},
         extras={"gap": gap},
@@ -164,11 +207,9 @@ def dense_condition(n: int, p: PVec, margin: float = 2.0) -> ConditionCheck:
     Holds iff (sqrt(p11*p00) - sqrt(p01*p10))^2 >= (2 ln n + margin)/n and
     the correlation is positive.
     """
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin}")
-    p11, p10, p01, p00 = p.as_floats()
-    corr = p01 * p10 < p11 * p00
-    lhs = (sqrt(p11 * p00) - sqrt(p01 * p10)) ** 2
+    n = _count("n", n, 1)
+    margin = _real(margin, lambda x: x >= 0, "margin must be >= 0")
+    corr, lhs = _correlation(*p.as_floats())
     rhs = (2 * log(n) + margin) / n
     return ConditionCheck(name="dense-gap", holds=bool(corr and lhs >= rhs), lhs=lhs, rhs=rhs)
 
@@ -190,24 +231,24 @@ def conditional_tail_bound(
     m_tilde = 0.
     """
     p11, p10, p01, p00 = p.as_floats()
-    if p11 >= 1:
-        raise ParameterError("requires p11 < 1")
-    if t_tilde < 1:
-        raise ParameterError(f"t_tilde must be >= 1, got {t_tilde}")
-    if not 0 <= m_tilde <= t_tilde:
-        raise ParameterError(f"need 0 <= m_tilde <= t_tilde, got {m_tilde} > {t_tilde}")
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    pp00 = p00 / (1 - p11)
-    pp01 = p01 / (1 - p11)
-    pp10 = p10 / (1 - p11)
+    _real(p11, lambda x: x < 1, "requires p11 < 1")
+    t_tilde = _count("t_tilde", t_tilde, 1)
+    m_tilde = _count("m_tilde", m_tilde, 0, ("t_tilde", t_tilde))
+    n_tilde = _count("n_tilde", n_tilde)
+    n = _count("n", n, 2)
+    inputs = {
+        "p": p.as_floats(), "m_tilde": m_tilde, "t_tilde": t_tilde, "n_tilde": n_tilde, "n": n,
+    }
+    pp00, pp01, pp10 = _primed(p11, p10, p01, p00)
     # q = p'11 * w at the chosen tilt; finite even when p11 = 0
     q = m_tilde * log(n) / t_tilde + p11
+    if math.isinf(t_tilde * q):
+        return _capped("conditional-tail", math.inf, inputs, "capped: t_tilde*q past float range")
     valid = (1 - p11) * q * p00 >= p01 * p10
-    first = 1.0 if m_tilde == 0 else (m_tilde / (t_tilde * q)) ** m_tilde
+    first = 1.0 if m_tilde == 0 else _power(m_tilde / (t_tilde * q), m_tilde)
     alpha_scaled = (1 + q) ** 2 - 2 * (sqrt(pp00 * q) - sqrt(pp01 * pp10)) ** 2
     power = _power(alpha_scaled, t_tilde / 2)
-    if m_tilde > 0 and (first == 0 or math.isinf(power)):
+    if m_tilde > 0 and (first in (0.0, math.inf) or math.isinf(power)):
         # a factor left the float range while their product may not have: take it in log space
         log_value = m_tilde * log(m_tilde / (t_tilde * q)) + t_tilde / 2 * log(alpha_scaled)
         value = _power(math.e, log_value)
@@ -218,16 +259,10 @@ def conditional_tail_bound(
         extras["w_star"] = q * (1 - p11) / p11
     return BoundReport(
         name="conditional-tail",
-        value=_finite("conditional-tail", value),
+        value=value,
         valid=bool(valid),
         uninformative=value >= 1,
-        inputs={
-            "p": p.as_floats(),
-            "m_tilde": m_tilde,
-            "t_tilde": t_tilde,
-            "n_tilde": n_tilde,
-            "n": n,
-        },
+        inputs=inputs,
         extras=extras,
         notes="" if valid else "tilt validity w*p11*p00 >= p01*p10 failed",
     )
@@ -246,31 +281,21 @@ def edges_conditioned_bound(n: int, m: int, p: PVec, n_tilde: int) -> BoundRepor
     the report covers every permutation with the given number of moved
     vertices.  Values above 1 are capped and flagged uninformative.
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
-    if n_tilde < 2 or n_tilde > n:
-        raise ParameterError(f"n_tilde must be in [2, n], got {n_tilde}")
+    n = _count("n", n, 3)
+    m = _count("m", m, 0)
+    n_tilde = _count("n_tilde", n_tilde, 2, ("n", n))
     p11, p10, p01, p00 = p.as_floats()
     t = comb(n, 2)
-    ttl_lo = n_tilde * (n - 2) / 2
-    ttl_hi = float(min(n * n_tilde, t))
     inputs = {"n": n, "m": m, "p": p.as_floats(), "n_tilde": n_tilde}
     if p11 >= 1:
-        return BoundReport(
-            name="edges-conditioned",
-            value=1.0,
-            valid=False,
-            uninformative=True,
-            inputs=inputs,
-            notes="degenerate p11 = 1",
-        )
+        return _capped("edges-conditioned", 1.0, inputs, "degenerate p11 = 1", valid=False)
+    if not t < FLOAT_EDGE:
+        return _capped("edges-conditioned", 1.0, inputs, "capped: C(n,2) past float range")
+    ttl_lo = n_tilde * (n - 2) / 2
+    ttl_hi = float(min(n * n_tilde, t))
     valid = (1 - p11) * p11 * p00 >= p01 * p10
     z4 = 1 / log(n)
-    pp00 = p00 / (1 - p11)
-    pp01 = p01 / (1 - p11)
-    pp10 = p10 / (1 - p11)
+    pp00, pp01, pp10 = _primed(p11, p10, p01, p00)
     # tilted weight per pair at the cutoff; independent of tt
     q = E2 * (m / t) * log(n) + p11
     s_rate = q * q / 2 + (pp01 + pp10) * q + 2 * sqrt(pp00 * pp01 * pp10 * q)
@@ -291,7 +316,7 @@ def edges_conditioned_bound(n: int, m: int, p: PVec, n_tilde: int) -> BoundRepor
     value = min(1.0, raw)
     return BoundReport(
         name="edges-conditioned",
-        value=_finite("edges-conditioned", value),
+        value=value,
         valid=bool(valid),
         uninformative=raw >= 1,
         inputs=inputs,
@@ -315,15 +340,16 @@ def union_over_perms(n: int, z: float) -> BoundReport:
     most z^nt.  The raw value is returned even when it exceeds 1 (then the
     bound is trivially true and flagged uninformative).
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if z < 0:
-        raise ParameterError(f"z must be >= 0, got {z}")
-    value = 3 * n * n * z * z
+    n = _count("n", n, 1)
+    z = _real(z, lambda x: x >= 0, "z must be >= 0")
+    if 3 * n * n < FLOAT_EDGE:
+        value = 3 * n * n * z * z
+    else:  # capped: 3*n*n is past float range
+        value = math.inf if z else 0.0
     trivial = n * z >= 2 / 3
     return BoundReport(
         name="union-over-perms",
-        value=_finite("union-over-perms", value),
+        value=value,
         uninformative=value >= 1,
         inputs={"n": n, "z": z},
         extras={"capped": min(1.0, value)},
@@ -339,29 +365,33 @@ def average_over_edge_count(
     Returns z9*(1 + p11*(z8-1))^t plus the upper tail
     P[matches > (1+eps)*t*p11], with t = C(n,2).
     """
-    if not 0 < z8 <= 1:
-        raise ParameterError(f"need 0 < z8 <= 1, got {z8}")
-    if z9 <= 0:
-        raise ParameterError(f"need z9 > 0, got {z9}")
-    if eps <= 0:
-        raise ParameterError(f"need eps > 0, got {eps}")
+    n = _count("n", n, 0)
+    z8 = _real(z8, lambda x: 0 < x <= 1, "need 0 < z8 <= 1")
+    z9 = _real(z9, lambda x: x > 0, "need z9 > 0")
+    eps = _real(eps, lambda x: x > 0, "need eps > 0")
     p11 = float(p.p11)
     t = comb(n, 2)
+    inputs = {"n": n, "p": p.as_floats(), "z8": z8, "z9": z9, "eps": eps}
+    if not t < FLOAT_EDGE:
+        return _capped("averaged-bound", math.inf, inputs, "capped: C(n,2) past float range")
     main = z9 * (1 + p11 * (z8 - 1)) ** t
-    if p11 == 0:
+    cutoff = (1 + eps) * t * p11
+    if p11 == 0 or cutoff >= t:  # no count exceeds the cutoff
         tail = 0.0
     else:
         # imported here: scipy.stats is most of the package's import time
         from scipy.stats import binom
 
-        cutoff = math.floor((1 + eps) * t * p11)
-        tail = float(binom.sf(cutoff, t, p11))
+        # floats, as scipy computes anyway: an int past int64 is refused
+        tail = float(binom.sf(float(math.floor(cutoff)), float(t), p11))
+        if math.isnan(tail):  # scipy's answer near the mean once t passes about 1e17
+            tail = 1.0  # capped: a probability is at most 1
     value = main + tail
     return BoundReport(
         name="averaged-bound",
-        value=_finite("averaged-bound", value),
+        value=value,
         uninformative=value >= 1,
-        inputs={"n": n, "p": p.as_floats(), "z8": z8, "z9": z9, "eps": eps},
+        inputs=inputs,
         extras={"main": main, "tail": tail},
     )
 
@@ -376,11 +406,9 @@ class ClassifyConstants:
     c_corr: float = 1.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ParameterError("margin must be >= 0")
+        _real(self.margin, lambda x: x >= 0, "margin must be >= 0")
         for name in ("c_sparse", "c_noise", "c_corr"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0")
+            _real(getattr(self, name), lambda x: x > 0, f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -393,12 +421,7 @@ class RegionVerdict:
     conditions: Dict[str, bool]
 
     def as_dict(self) -> Dict:
-        return {
-            "region": self.region,
-            "positive_correlation": self.positive_correlation,
-            "margins": self.margins,
-            "conditions": self.conditions,
-        }
+        return asdict(self)
 
 
 def classify(n: int, p: PVec, constants: Optional[ClassifyConstants] = None) -> RegionVerdict:
@@ -410,12 +433,11 @@ def classify(n: int, p: PVec, constants: Optional[ClassifyConstants] = None) -> 
     mutually exclusive; the precedence also resolves zero-margin ties so a
     verdict never claims both.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    n = _count("n", n, 2)
     c = constants or ClassifyConstants()
     p11, p10, p01, p00 = p.as_floats()
     ln_n = log(n)
-    corr = p01 * p10 < p11 * p00
+    corr, _ = _correlation(p11, p10, p01, p00)
 
     margins: Dict[str, float] = {}
     conditions: Dict[str, bool] = {}
@@ -444,13 +466,12 @@ def classify(n: int, p: PVec, constants: Optional[ClassifyConstants] = None) -> 
     dense = dense_condition(n, p, margin=c.margin)
     margins["dense-gap"] = dense.slack
     conditions["dense-gap"] = dense.holds
-    dense_ok = dense.holds and corr
 
     if conv:
         region = REGION_CONVERSE
     elif sparse_ok:
         region = REGION_ACH_SPARSE
-    elif dense_ok:
+    elif dense.holds:  # which requires positive correlation
         region = REGION_ACH_DENSE
     else:
         region = REGION_UNCLASSIFIED

@@ -38,17 +38,6 @@ def parse_list(text: str, convert, what: str, count: Optional[int] = None) -> li
         raise ParameterError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _parse_pvec(text: str) -> PVec:
-    fracs = parse_list(text, Fraction, "probabilities", 4)
-    if sum(fracs) == 1:
-        return PVec(*fracs)
-    return PVec(*(float(f) for f in fracs))
-
-
-def _parse_wmatrix(text: str) -> WMatrix:
-    return WMatrix(*parse_list(text, Fraction, "weights", 4))
-
-
 def _read_graph(path: str) -> Graph:
     with open(path) as fh:
         return Graph.from_line(fh.readline())
@@ -59,7 +48,7 @@ def _cmd_gen(args) -> int:
         r, sa, sb = parse_list(args.subsampling, float, "subsampling parameters r,sa,sb", 3)
         p = subsampling_to_pvec(SubsamplingParams(r, sa, sb))
     elif args.p is not None:
-        p = _parse_pvec(args.p)
+        p = PVec.from_line(args.p)
     else:
         raise ConfigError("either --p or --subsampling is required")
     pair = sample_pair(args.n, p, args.seed)
@@ -138,31 +127,32 @@ def _cmd_verify_gf(args) -> int:
     return 0 if report.ok else 1
 
 
+#: each --op of `bounds`, in --help order, and the report it evaluates from the parsed flags
+BOUND_OPS = {
+    "delta-tail": lambda a: bnd.delta_tail_bound(
+        WMatrix(*parse_list(a.w, Fraction, "weights", 4)), a.t_tilde
+    ),
+    "dense-base": lambda a: bnd.dense_tail_base(a.n, PVec.from_line(a.p)),
+    "conditional-tail": lambda a: bnd.conditional_tail_bound(
+        PVec.from_line(a.p), a.m_tilde, a.t_tilde, a.n_tilde, a.n
+    ),
+    "edges-conditioned": lambda a: bnd.edges_conditioned_bound(
+        a.n, a.m, PVec.from_line(a.p), a.n_tilde
+    ),
+    "union": lambda a: bnd.union_over_perms(a.n, a.z),
+    "averaged": lambda a: bnd.average_over_edge_count(a.n, PVec.from_line(a.p), a.z8, a.z9, a.eps),
+}
+
+
 def _cmd_bounds(args) -> int:
-    if args.op == "delta-tail":
-        rep = bnd.delta_tail_bound(_parse_wmatrix(args.w), args.t_tilde)
-    elif args.op == "dense-base":
-        rep = bnd.dense_tail_base(args.n, _parse_pvec(args.p))
-    elif args.op == "conditional-tail":
-        rep = bnd.conditional_tail_bound(
-            _parse_pvec(args.p), args.m_tilde, args.t_tilde, args.n_tilde, args.n
-        )
-    elif args.op == "edges-conditioned":
-        rep = bnd.edges_conditioned_bound(args.n, args.m, _parse_pvec(args.p), args.n_tilde)
-    elif args.op == "union":
-        rep = bnd.union_over_perms(args.n, args.z)
-    elif args.op == "averaged":
-        rep = bnd.average_over_edge_count(args.n, _parse_pvec(args.p), args.z8, args.z9, args.eps)
-    else:
-        raise ConfigError(f"unknown bound op {args.op!r}")
-    print(json.dumps(rep.as_dict()))
+    print(json.dumps(BOUND_OPS[args.op](args).as_dict()))
     return 0
 
 
 def _cmd_classify(args) -> int:
     verdict = bnd.classify(
         args.n,
-        _parse_pvec(args.p),
+        PVec.from_line(args.p),
         bnd.ClassifyConstants(
             margin=args.margin,
             c_sparse=args.c_sparse,
@@ -227,18 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify_gf)
 
     b = sub.add_parser("bounds", help="evaluate one bound, print a JSON report")
-    b.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "delta-tail",
-            "dense-base",
-            "conditional-tail",
-            "edges-conditioned",
-            "union",
-            "averaged",
-        ],
-    )
+    b.add_argument("--op", required=True, choices=list(BOUND_OPS))
     b.add_argument("--n", type=int, default=100)
     b.add_argument("--m", type=int, default=0)
     b.add_argument("--m-tilde", type=int, default=0)

@@ -37,8 +37,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapExceededError, ParameterError
-from .model import Graph, intersection, pair_array, pair_count
+from .errors import ParameterError
+from .model import SCAN_BYTE_BUDGET, Graph, intersection, pair_array, pair_count, require_bytes
 from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank, lex_unrank, require_cap
 
 def _lex_perm_matrix(n: int) -> np.ndarray:
@@ -82,10 +82,6 @@ def _lift_table(n: int) -> np.ndarray:
     return _build_lift_table(n)
 
 
-#: largest lift table, with its permutation matrix, a scan may build (bytes)
-SCAN_BYTE_BUDGET = 1 << 30
-
-
 def lift_table_bytes(n: int) -> int:
     """Bytes of the int8 lift table and permutation matrix a scan at n builds."""
     return factorial(n) * (pair_count(n) + n)
@@ -94,14 +90,6 @@ def lift_table_bytes(n: int) -> int:
 def scan_fits(n: int) -> bool:
     """Whether the n! scan's tables fit in SCAN_BYTE_BUDGET."""
     return lift_table_bytes(n) <= SCAN_BYTE_BUDGET
-
-
-def require_bytes(need: int, what: str) -> None:
-    """Refuse need bytes past SCAN_BYTE_BUDGET with CapExceededError naming what."""
-    if need > SCAN_BYTE_BUDGET:
-        raise CapExceededError(
-            f"{what} needs {need / 1e9:.1f} GB, over the {SCAN_BYTE_BUDGET}-byte budget"
-        )
 
 
 def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import genfunc
 from .errors import ConfigError, ParameterError
-from .estimator import automorphism_count, map_estimate, require_bytes, runner_up_distance, scan_fits
+from .estimator import automorphism_count, map_estimate, runner_up_distance, scan_fits
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -35,7 +35,7 @@ from .genfunc import (
 )
 from .model import (
     SAMPLE_BYTES_PER_PAIR, Graph, PVec, SubsamplingParams, intersection, pair_count,
-    rng_from_seed, subsampling_to_pvec, _sample_bits,
+    require_bytes, rng_from_seed, subsampling_to_pvec, _sample_bits,
 )
 from .perms import DEFAULT_ENUM_CAP, Permutation, require_cap
 

@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import CapExceededError, DomainError, ParameterError
 
 Rational = Union[int, Fraction]
 Prob = Union[int, float, Fraction]
@@ -136,10 +136,17 @@ class PVec:
 
     @classmethod
     def from_line(cls, line: str) -> "PVec":
+        """Parse p11,p10,p01,p00: exact if the four decimals sum to exactly 1, else floats."""
         parts = line.strip().split(",")
         if len(parts) != 4:
             raise ParameterError(f"expected 4 comma-separated probabilities, got {line!r}")
-        return cls(*(_parse_prob(s) for s in parts))
+        try:
+            fracs = [Fraction(s.strip()) for s in parts]
+            if sum(fracs) != 1:
+                fracs = [float(f) for f in fracs]
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ParameterError(f"cannot read probabilities {line!r}: {exc}") from exc
+        return cls(*fracs)
 
     @classmethod
     def uniform(cls) -> "PVec":
@@ -166,14 +173,6 @@ def _prob_to_str(x: Prob) -> str:
     digits = max(e2, e5)
     scaled = f.numerator * 10**digits // f.denominator
     return f"{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
-
-
-def _parse_prob(s: str) -> Prob:
-    s = s.strip()
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse probability {s!r}") from exc
 
 
 class Graph:
@@ -351,6 +350,17 @@ def pvec_to_r(p: PVec):
 #: bytes _sample_bits holds per vertex pair: a float64 uniform, two uint8 labels, bool temporaries
 SAMPLE_BYTES_PER_PAIR = 13
 
+#: largest allocation a draw or an n! scan may make (bytes)
+SCAN_BYTE_BUDGET = 1 << 30
+
+
+def require_bytes(need: int, what: str) -> None:
+    """Refuse need bytes past SCAN_BYTE_BUDGET with CapExceededError naming what."""
+    if need > SCAN_BYTE_BUDGET:
+        raise CapExceededError(
+            f"{what} needs {need / 1e9:.1f} GB, over the {SCAN_BYTE_BUDGET}-byte budget"
+        )
+
 
 def _sample_bits(n: int, p: PVec, rng: np.random.Generator):
     """Draw the two bit vectors of a correlated pair from an open generator."""
@@ -372,10 +382,11 @@ def sample_pair(n: int, p: PVec, seed: int) -> CorrelatedPair:
     """Sample a correlated pair; identical seed gives bit-identical output.
 
     Each pair index draws its joint label independently with probabilities
-    (p11, p10, p01, p00).
+    (p11, p10, p01, p00).  Past SCAN_BYTE_BUDGET it refuses before drawing.
     """
     if n < 1:
         raise ParameterError(f"vertex count must be >= 1, got {n}")
+    require_bytes(SAMPLE_BYTES_PER_PAIR * pair_count(n), "sampling a pair")
     ga, gb = _sample_bits(n, p, rng_from_seed(seed))
     return CorrelatedPair(Graph(n, ga), Graph(n, gb))
 

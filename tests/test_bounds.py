@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 from math import comb, exp, log
 
+import numpy as np
 import pytest
 
 import eralign as ea
@@ -335,3 +336,71 @@ def test_conditional_tail_is_finite_where_a_float_factor_leaves_the_range(m_tild
     q, alpha = rep.extras["tilt_q"], rep.extras["alpha_scaled"]
     want = m_tilde * log(m_tilde / (t_tilde * q)) + t_tilde / 2 * log(alpha)
     assert math.isclose(log(rep.value), want, rel_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the input gates and the float range
+
+P = ea.PVec(0.1, 0.01, 0.01, 0.88)
+
+
+@pytest.mark.parametrize("count", [10.0, 2.5, "10", None, 10**400, -(10**400)])
+def test_counts_must_be_integers_a_float_can_hold(count):
+    for evaluate in (
+        lambda: ea.dense_tail_base(count, P),
+        lambda: ea.union_over_perms(count, 0.1),
+        lambda: ea.average_over_edge_count(count, P, 0.5, 1.0, 0.5),
+        lambda: ea.classify(count, P),
+        lambda: ea.conditional_tail_bound(P, 0, 10, count, 100),
+        lambda: ea.delta_tail_bound(ea.WMatrix(9, 1, 1, 9), count),
+    ):
+        with pytest.raises(ParameterError):
+            evaluate()
+    assert ea.dense_tail_base(np.int64(10), P).inputs["n"] == 10
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, F(10**400), "0.5"])
+def test_reals_must_be_finite_numbers(x):
+    for evaluate in (
+        lambda: ea.union_over_perms(10, x),
+        lambda: ea.average_over_edge_count(10, P, x, 1.0, 0.5),
+        lambda: ea.average_over_edge_count(10, P, 0.5, x, 0.5),
+        lambda: ea.average_over_edge_count(10, P, 0.5, 1.0, x),
+        lambda: ea.dense_condition(10, P, margin=x),
+        lambda: ea.ClassifyConstants(margin=x),
+        lambda: ea.ClassifyConstants(c_corr=x),
+    ):
+        with pytest.raises(ParameterError):
+            evaluate()
+    with pytest.raises(DomainError):
+        ea.delta_tail_bound(ea.WMatrix(F(10**400), 1, 1, 1), 2)
+
+
+def test_arithmetic_past_float_range_is_capped_and_flagged():
+    huge = 10**300
+    rep = ea.union_over_perms(huge, 0.5)
+    assert rep.value == math.inf and rep.uninformative
+    assert ea.union_over_perms(huge, 0.0).value == 0.0
+    rep = ea.edges_conditioned_bound(huge, 3, ea.PVec(0.5, 0.1, 0.1, 0.3), 2)
+    assert rep.value == 1.0 and rep.uninformative and "past float range" in rep.notes
+    rep = ea.average_over_edge_count(huge, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 0.5)
+    assert rep.value == math.inf and rep.uninformative
+    rep = ea.conditional_tail_bound(P, 10**308, 10**308, 2, 1000)
+    assert rep.value == math.inf and rep.uninformative
+    # n = 2: the first factor (1/ln 2)^m_tilde overflows
+    rep = ea.conditional_tail_bound(ea.PVec(0, 0.5, 0, 0.5), 10_000, 10_000, 2, 2)
+    assert rep.value == math.inf and rep.uninformative
+    rep = ea.delta_tail_bound(ea.WMatrix(10**200, 1, 1, 10**200), 4)
+    assert rep.extras["base"] == math.inf and rep.value == math.inf and rep.uninformative
+    # scipy's binomial tail is NaN near the mean at t = C(n,2) ~ 2e18; capped at 1
+    rep = ea.average_over_edge_count(2 * 10**9, ea.PVec.uniform(), 0.5, 1.0, 1e-300)
+    assert rep.extras["tail"] == 1.0 and rep.uninformative
+
+
+def test_averaged_tail_reads_floats_past_int64():
+    # C(n,2) = 5e21 > 2^63: the cutoff and t reach scipy as floats
+    rep = ea.average_over_edge_count(10**11, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 0.5)
+    assert rep.value == 0.0 and not rep.uninformative
+    # a cutoff at or past t leaves an empty tail, as scipy reports it
+    rep = ea.average_over_edge_count(50, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 1.0)
+    assert rep.extras["tail"] == 0.0

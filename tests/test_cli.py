@@ -223,6 +223,25 @@ MALFORMED_ARGV = {
     "config-r-letter": {"kind": "subsampling", "r": ["a"], "sa": [1], "sb": [1]},
     "config-c-past-float": {"kind": "c_grid", "c": [10**400]},
     "config-noise-past-float": {"kind": "c_grid", "c": [1], "noise": 10**400},
+    "gen-p-past-float": ["gen", "--n", "5", "--p", "1e400,0,0,0"],
+    "gen-past-byte-budget": ["gen", "--n", "1000000", "--p", "0.5,0,0,0.5"],
+    "dense-base-p-past-float": ["bounds", "--op", "dense-base", "--n", "5", "--p", "1e400,0,0,0"],
+    "classify-p-past-float": ["classify", "--n", "5", "--p", "1e400,0,0,0"],
+    "delta-tail-w-past-float": ["bounds", "--op", "delta-tail", "--w", "1e400,1,1,1",
+                                "--t-tilde", "4"],
+    "union-z-nan": ["bounds", "--op", "union", "--n", "5", "--z", "nan"],
+    "averaged-eps-nan": ["bounds", "--op", "averaged", "--n", "10", "--p", "0.5,0,0,0.5",
+                         "--eps", "nan"],
+    "averaged-z9-nan": ["bounds", "--op", "averaged", "--n", "10", "--p", "0.5,0,0,0.5",
+                        "--z9", "nan"],
+    "averaged-n-negative": ["bounds", "--op", "averaged", "--n", "-5", "--p", "0.5,0,0,0.5"],
+    "classify-margin-nan": ["classify", "--n", "10", "--p", "0.5,0,0,0.5", "--margin", "nan"],
+    "classify-c-noise-nan": ["classify", "--n", "10", "--p", "0.5,0,0,0.5", "--c-noise", "nan"],
+    "classify-n-past-float": ["classify", "--n", str(10**400), "--p", "0.5,0,0,0.5"],
+    "dense-base-n-past-float": ["bounds", "--op", "dense-base", "--n", str(10**400),
+                                "--p", "0.5,0,0,0.5"],
+    "delta-tail-t-tilde-past-float": ["bounds", "--op", "delta-tail", "--w", "1,0.1,0.1,1",
+                                      "--t-tilde", str(10**400)],
 }
 
 
@@ -269,6 +288,24 @@ def test_bound_overflow_reports_inf_uninformative(argv, capsys):
     rep = json.loads(out)
     assert rep["value"] == "inf"
     assert rep["uninformative"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--op", "union", "--n", str(10**300), "--z", "0.5"],
+    ["bounds", "--op", "edges-conditioned", "--n", str(10**300), "--m", "3",
+     "--p", "0.5,0.1,0.1,0.3"],
+    ["bounds", "--op", "averaged", "--n", str(10**300), "--p", "0.5,0,0,0.5"],
+    ["bounds", "--op", "averaged", "--n", "100000000000", "--p", "0.5,0,0,0.5"],
+])
+def test_bound_of_a_huge_count_reports_instead_of_raising(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["inputs"]["n"] == int(argv[4])
+    if argv[4] == "100000000000":  # C(n,2) is past int64 but within float range
+        assert rep["value"] == 0.0 and not rep["uninformative"]
+    else:  # the arithmetic would leave the float range: capped and flagged
+        assert rep["value"] in ("inf", 1.0) and rep["uninformative"] is True
 
 
 @pytest.mark.parametrize("value", [1.9, "5", True])
@@ -432,4 +469,64 @@ def test_sweep_property_exit_0_or_2_without_traceback(config, flags, tmp_path_fa
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:"), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# property: whatever counts, reals, p-vectors and weights a bound or a
+# classification is given, it exits 0 with a JSON report or 2 with "error:",
+# and never with a traceback.  Counts reach past float range (10**400);
+# reals include NaN, infinities and 1e400, which argparse reads as inf.
+
+COUNTS = st.one_of(
+    st.sampled_from([2, 3, 5, 10, 102, 1000]), st.sampled_from([0, 1, -1, -5]),
+    st.sampled_from([1, 3, 9, 11, 20, 100, 154, 200, 300, 307, 308, 309, 400]).map(lambda k: 10**k),
+)
+REALS = st.one_of(st.sampled_from(["0.001", "0.5", "1", "2", "1e-300", "1e300"]),
+                  st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-0.0", "-1"]))
+PVECS = st.one_of(
+    st.sampled_from(["0.1,0.01,0.01,0.88", "0.5,0,0,0.5", "0.45,0.05,0.05,0.45", "1/4,1/8,1/8,1/2",
+                     "0.25,0.25,0.25,0.25", "0.001,0.45,0.45,0.099", "1,0,0,0", "0,0.5,0,0.5"]),
+    st.sampled_from(["a,b,c,d", "0.5,0.5", "nan,0,0,1", "1/0,0,0,1", "1e400,0,0,0",
+                     "1e400,-1e400,0,1"]),
+)
+WEIGHTS = st.one_of(
+    st.sampled_from(["9,1,1,9", "1,0.1,0.1,1", "1/2,1/100,1/100,12/25", "1e200,1,1,1e200"]),
+    st.sampled_from(["1,1,1,1", "0,1,1,1", "-1,1,1,1", "x,1,1,1", "1,2,3", "1e400,1,1,1",
+                     "1e-400,1,1,1"]),
+)
+VALUES = {"--p": PVECS, "--w": WEIGHTS,
+          **{flag: COUNTS for flag in ("--n", "--m", "--m-tilde", "--t-tilde", "--n-tilde")},
+          **{flag: REALS for flag in ("--z", "--z8", "--z9", "--eps", "--margin", "--c-sparse",
+                                      "--c-noise", "--c-corr")}}
+FLAGS_OF = {
+    "delta-tail": ("--w", "--t-tilde"),
+    "dense-base": ("--n", "--p"),
+    "conditional-tail": ("--p", "--m-tilde", "--t-tilde", "--n-tilde", "--n"),
+    "edges-conditioned": ("--n", "--m", "--p", "--n-tilde"),
+    "union": ("--n", "--z"),
+    "averaged": ("--n", "--p", "--z8", "--z9", "--eps"),
+    "classify": ("--n", "--p", "--margin", "--c-sparse", "--c-noise", "--c-corr"),
+}
+
+
+@st.composite
+def bound_argv(draw):
+    """argv of one bound op or of classify, every flag of it drawn."""
+    command = draw(st.sampled_from(sorted(FLAGS_OF)))
+    flags = [f"{flag}={draw(VALUES[flag])}" for flag in FLAGS_OF[command]]
+    return ["classify", *flags] if command == "classify" else ["bounds", f"--op={command}", *flags]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=bound_argv())
+def test_bounds_and_classify_exit_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+    else:
+        json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -584,7 +584,7 @@ def test_scan_byte_guard(monkeypatch):
 
 NOISY = ea.PVec(0.4, 0.1, 0.1, 0.4)
 ZEROS6, ZEROS11 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 11))
-# each caller of perms.require_cap and estimator.require_bytes, with the words its message must hold
+# each caller of perms.require_cap and model.require_bytes, with the words its message must hold
 GUARDED = {
     "enumerate_perms-cap": (lambda: next(ea.enumerate_perms(5, cap=4)), "cap 4"),
     "hamming_scan-cap": (lambda: ea.hamming_scan(ZEROS6, ZEROS6, 6, cap=5), "cap 5"),
@@ -592,6 +592,7 @@ GUARDED = {
     "run_trial-cap": (lambda: ea.run_trial(8, NOISY, 0, cap=7), "cap 7"),
     "hamming_scan-bytes": (lambda: ea.hamming_scan(ZEROS11, ZEROS11, 11, cap=11), "byte budget"),
     "run_trial-bytes": (lambda: ea.run_trial(100_000, NOISY, 0, cap=100_000), "byte budget"),
+    "sample_pair-bytes": (lambda: ea.sample_pair(100_000, NOISY, 0), "byte budget"),
 }
 
 

@@ -56,6 +56,21 @@ def test_pvec_line_round_trip():
     assert q.p11 == F(1, 3)
 
 
+def test_pvec_from_line_is_exact_only_when_the_decimals_sum_to_1():
+    assert ea.PVec.from_line("0.5,0,0,0.5").is_exact
+    f = ea.PVec.from_line("0.1,0.2,0.3,0.4000000000001")  # sums to 1 within FLOAT_SUM_TOL only
+    assert not f.is_exact and f.p11 == 0.1 and f.p00 == 0.4000000000001
+    floats = ea.PVec(1 / 3, 1 / 3, 1 / 6, 1 / 6)
+    assert ea.PVec.from_line(floats.to_line()) == floats
+
+
+@pytest.mark.parametrize("line", ["1e400,0,0,0", "0.5,0.5", "a,b,c,d", "nan,0,0,1", "1/0,0,0,1",
+                                  "1e400,-1e400,0,1"])
+def test_pvec_from_line_refuses_malformed_lines(line):
+    with pytest.raises(ParameterError):
+        ea.PVec.from_line(line)
+
+
 # ---------------------------------------------------------------------------
 # pair indexing and serialization
 
