@@ -6,22 +6,20 @@ O(.) factors (defaults: margin=2, constants=1).  Natural logarithms
 throughout.  Bounds that exceed 1 are reported capped with an
 ``uninformative`` flag instead of raising, so parameter sweeps never abort;
 so are bounds whose arithmetic would leave the float range.  Every count
-passes _count and every real _real, which refuse what no float can hold.
+passes model.count and every real model.real, which refuse what no float can hold.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, exp, log, log1p, sqrt
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import DomainError, ParameterError
 from .genfunc import WMatrix
-from .model import PVec
+from .model import FLOAT_EDGE, PVec, count, real
 
 E2 = math.e**2  # tilt constant of the atypical-count split
 
@@ -29,38 +27,6 @@ REGION_CONVERSE = "converse"
 REGION_ACH_SPARSE = "achievable-sparse"
 REGION_ACH_DENSE = "achievable-dense"
 REGION_UNCLASSIFIED = "unclassified"
-
-
-#: float(x) of a rational x succeeds exactly when |x| < FLOAT_EDGE; past it, x rounds to 2^1024
-FLOAT_EDGE = 2**1024 - 2**970
-
-
-def _count(name: str, value, low: Optional[int] = None,
-           high: Optional[Tuple[str, int]] = None) -> int:
-    """value read with operator.index, else ParameterError: one a float can hold,
-    at least low and, where high = (its name, its value) is given, at most high."""
-    try:
-        value = operator.index(value)
-    except TypeError as exc:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from exc
-    if not abs(value) < FLOAT_EDGE:
-        raise ParameterError(f"{name} has {len(str(abs(value)))} digits, past float range (2^1024)")
-    if high is not None and not low <= value <= high[1]:
-        raise ParameterError(f"{name} must be in [{low}, {high[0]}], got {value}")
-    if low is not None and value < low:
-        raise ParameterError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
-def _real(value, within: Callable[[float], bool], rule: str, error=ParameterError) -> float:
-    """value as a finite float for which within holds, else error(rule); within
-    states the range as the condition that holds, so NaN fails it."""
-    if not isinstance(value, numbers.Real):
-        raise error(f"{rule}, got {value!r}")
-    x = math.inf if abs(value) >= FLOAT_EDGE else float(value)
-    if not (math.isfinite(x) and within(x)):
-        raise error(f"{rule}, got {x}" + ("" if math.isfinite(x) else " (reals must be finite)"))
-    return x
 
 
 def _weights(w: Union[WMatrix, PVec]):
@@ -72,7 +38,7 @@ def _weights(w: Union[WMatrix, PVec]):
     else:
         raise ParameterError(f"expected WMatrix or PVec, got {type(w).__name__}")
     return tuple(
-        _real(x, lambda v: v > 0, "all four weights must be strictly positive", DomainError)
+        real(x, lambda v: v > 0, "all four weights must be strictly positive", DomainError)
         for x in (w00, w01, w10, w11)
     )
 
@@ -162,15 +128,19 @@ def delta_tail_bound(w: Union[WMatrix, PVec], t_tilde: int) -> BoundReport:
     attained by tilting at z1 = sqrt(w01*w10 / (w00*w11)).
     """
     w00, w01, w10, w11 = _weights(w)
-    corr, gap = _correlation(w11, w10, w01, w00)
+    u = w00 + w01 + w10 + w11
+    # sign and z1 are scale-free, so where a product overflows they come from w / max(w);
+    # u*u overflows then too, so the gap of the scaled weights goes unused
+    top = max(w00, w01, w10, w11) if math.isinf(max(w01 * w10, w00 * w11)) else 1.0
+    s00, s01, s10, s11 = (x / top for x in (w00, w01, w10, w11))
+    corr, gap = _correlation(s11, s10, s01, s00)
     if not corr:
         raise DomainError("requires w01*w10 < w00*w11 (positive correlation)")
-    t_tilde = _count("t_tilde", t_tilde, 0)
-    u = w00 + w01 + w10 + w11
+    t_tilde = count("t_tilde", t_tilde, 0)
     # gap <= u^2/4, so only u*u can overflow; the base then lies past float range
     base = u * u - 2 * gap if math.isfinite(u * u) else math.inf
     value = _power(base, t_tilde / 2)
-    z1 = sqrt((w01 * w10) / (w00 * w11))
+    z1 = sqrt((s01 * s10) / (s00 * s11))
     return BoundReport(
         name="delta-tail",
         value=value,
@@ -187,7 +157,7 @@ def dense_tail_base(n: int, p: PVec) -> BoundReport:
     A base of 1 or more (every n <= 2) bounds nothing and is flagged
     uninformative.
     """
-    n = _count("n", n, 1)
+    n = count("n", n, 1)
     corr, gap = _correlation(*p.as_floats())
     if not corr:
         raise DomainError("requires positive correlation p01*p10 < p11*p00")
@@ -207,8 +177,8 @@ def dense_condition(n: int, p: PVec, margin: float = 2.0) -> ConditionCheck:
     Holds iff (sqrt(p11*p00) - sqrt(p01*p10))^2 >= (2 ln n + margin)/n and
     the correlation is positive.
     """
-    n = _count("n", n, 1)
-    margin = _real(margin, lambda x: x >= 0, "margin must be >= 0")
+    n = count("n", n, 1)
+    margin = real(margin, lambda x: x >= 0, "margin must be >= 0")
     corr, lhs = _correlation(*p.as_floats())
     rhs = (2 * log(n) + margin) / n
     return ConditionCheck(name="dense-gap", holds=bool(corr and lhs >= rhs), lhs=lhs, rhs=rhs)
@@ -231,11 +201,11 @@ def conditional_tail_bound(
     m_tilde = 0.
     """
     p11, p10, p01, p00 = p.as_floats()
-    _real(p11, lambda x: x < 1, "requires p11 < 1")
-    t_tilde = _count("t_tilde", t_tilde, 1)
-    m_tilde = _count("m_tilde", m_tilde, 0, ("t_tilde", t_tilde))
-    n_tilde = _count("n_tilde", n_tilde)
-    n = _count("n", n, 2)
+    real(p11, lambda x: x < 1, "requires p11 < 1")
+    t_tilde = count("t_tilde", t_tilde, 1)
+    m_tilde = count("m_tilde", m_tilde, 0, ("t_tilde", t_tilde))
+    n_tilde = count("n_tilde", n_tilde)
+    n = count("n", n, 2)
     inputs = {
         "p": p.as_floats(), "m_tilde": m_tilde, "t_tilde": t_tilde, "n_tilde": n_tilde, "n": n,
     }
@@ -281,11 +251,11 @@ def edges_conditioned_bound(n: int, m: int, p: PVec, n_tilde: int) -> BoundRepor
     the report covers every permutation with the given number of moved
     vertices.  Values above 1 are capped and flagged uninformative.
     """
-    n = _count("n", n, 3)
-    m = _count("m", m, 0)
-    n_tilde = _count("n_tilde", n_tilde, 2, ("n", n))
-    p11, p10, p01, p00 = p.as_floats()
+    n = count("n", n, 3)
     t = comb(n, 2)
+    m = count("m", m, 0, ("C(n,2)", t))
+    n_tilde = count("n_tilde", n_tilde, 2, ("n", n))
+    p11, p10, p01, p00 = p.as_floats()
     inputs = {"n": n, "m": m, "p": p.as_floats(), "n_tilde": n_tilde}
     if p11 >= 1:
         return _capped("edges-conditioned", 1.0, inputs, "degenerate p11 = 1", valid=False)
@@ -340,8 +310,8 @@ def union_over_perms(n: int, z: float) -> BoundReport:
     most z^nt.  The raw value is returned even when it exceeds 1 (then the
     bound is trivially true and flagged uninformative).
     """
-    n = _count("n", n, 1)
-    z = _real(z, lambda x: x >= 0, "z must be >= 0")
+    n = count("n", n, 1)
+    z = real(z, lambda x: x >= 0, "z must be >= 0")
     if 3 * n * n < FLOAT_EDGE:
         value = 3 * n * n * z * z
     else:  # capped: 3*n*n is past float range
@@ -365,10 +335,10 @@ def average_over_edge_count(
     Returns z9*(1 + p11*(z8-1))^t plus the upper tail
     P[matches > (1+eps)*t*p11], with t = C(n,2).
     """
-    n = _count("n", n, 0)
-    z8 = _real(z8, lambda x: 0 < x <= 1, "need 0 < z8 <= 1")
-    z9 = _real(z9, lambda x: x > 0, "need z9 > 0")
-    eps = _real(eps, lambda x: x > 0, "need eps > 0")
+    n = count("n", n, 0)
+    z8 = real(z8, lambda x: 0 < x <= 1, "need 0 < z8 <= 1")
+    z9 = real(z9, lambda x: x > 0, "need z9 > 0")
+    eps = real(eps, lambda x: x > 0, "need eps > 0")
     p11 = float(p.p11)
     t = comb(n, 2)
     inputs = {"n": n, "p": p.as_floats(), "z8": z8, "z9": z9, "eps": eps}
@@ -406,9 +376,9 @@ class ClassifyConstants:
     c_corr: float = 1.0
 
     def __post_init__(self):
-        _real(self.margin, lambda x: x >= 0, "margin must be >= 0")
+        real(self.margin, lambda x: x >= 0, "margin must be >= 0")
         for name in ("c_sparse", "c_noise", "c_corr"):
-            _real(getattr(self, name), lambda x: x > 0, f"{name} must be > 0")
+            real(getattr(self, name), lambda x: x > 0, f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -433,7 +403,7 @@ def classify(n: int, p: PVec, constants: Optional[ClassifyConstants] = None) -> 
     mutually exclusive; the precedence also resolves zero-margin ties so a
     verdict never claims both.
     """
-    n = _count("n", n, 2)
+    n = count("n", n, 2)
     c = constants or ClassifyConstants()
     p11, p10, p01, p00 = p.as_floats()
     ln_n = log(n)

@@ -15,7 +15,7 @@ from typing import Optional
 from . import bounds as bnd
 from .errors import USAGE_ERRORS, ConfigError, ParameterError
 from .estimator import automorphism_count, isolated_count, map_estimate
-from .experiment import SweepConfig, read_config, emit_plot, run_sweep, verify_gf
+from .experiment import SweepConfig, read_config, read_text, emit_plot, run_sweep, verify_gf
 from .genfunc import WMatrix
 from .model import (
     Graph,
@@ -39,8 +39,7 @@ def parse_list(text: str, convert, what: str, count: Optional[int] = None) -> li
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return Graph.from_line(fh.readline())
+    return Graph.from_line(read_text(path, "graph file").partition("\n")[0])
 
 
 def _cmd_gen(args) -> int:

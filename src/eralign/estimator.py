@@ -38,7 +38,8 @@ from math import factorial
 import numpy as np
 
 from .errors import ParameterError
-from .model import SCAN_BYTE_BUDGET, Graph, intersection, pair_array, pair_count, require_bytes
+from .model import (SCAN_BYTE_BUDGET, Graph, count, intersection, pair_array, pair_count,
+                    require_bytes)
 from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank, lex_unrank, require_cap
 
 def _lex_perm_matrix(n: int) -> np.ndarray:
@@ -220,9 +221,7 @@ def runner_up_distance(g: Graph) -> int:
     run_trial calls it only where the scan fits.  Masks are uint16, so
     2 <= n <= 16.
     """
-    n = g.n
-    if not 2 <= n <= 16:
-        raise ParameterError(f"runner_up_distance needs 2 <= n <= 16, got {n}")
+    n = count("n", g.n, 2, ("16", 16))
     adj = np.zeros((n, n), dtype=np.uint16)
     ii, jj = pair_array(n)
     adj[ii, jj] = adj[jj, ii] = g.bits

@@ -9,6 +9,7 @@ parallel runs produce byte-identical CSV output.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import random
@@ -34,8 +35,7 @@ from .genfunc import (
     shift_type_sum,
 )
 from .model import (
-    SAMPLE_BYTES_PER_PAIR, Graph, PVec, SubsamplingParams, intersection, pair_count,
-    require_bytes, rng_from_seed, subsampling_to_pvec, _sample_bits,
+    Graph, PVec, SubsamplingParams, count, intersection, real, sample_bits, subsampling_to_pvec,
 )
 from .perms import DEFAULT_ENUM_CAP, Permutation, require_cap
 
@@ -128,12 +128,20 @@ class SubsamplingGrid:
 GridSpec = Union[CGrid, ExplicitGrid, SubsamplingGrid]
 
 
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at path; other bytes raise ConfigError naming what."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def read_config(path) -> Dict:
     """The JSON object in the file at path; anything else raises ConfigError."""
     try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as exc:
+        d = json.loads(read_text(path, "config"))
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit of int()
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError(f"config {path} is not a JSON object")
@@ -151,14 +159,9 @@ class SweepConfig:
     cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("n", 2), ("threads", 1), ("seed", 0), ("cap", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.seed > _MASK64:
-            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
+        for name, low in (("trials", 1), ("n", 2), ("threads", 1), ("cap", 1)):
+            count(name, getattr(self, name), low, error=ConfigError)
+        count("seed", self.seed, 0, ("2^64 - 1", _MASK64), error=ConfigError)
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ConfigError(f"out must be a path, got {self.out!r}")
 
@@ -172,29 +175,28 @@ class SweepConfig:
             kind = grid_spec["kind"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"config missing grid.kind: {exc}") from exc
-        def listed(what, value, kinds=(int, float)):
+        def listed(what, value):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{what} must be a list, got {value!r}")
-            for v in value:
-                # an int of 1024 bits or more has no float, so no cell id or probability
-                if isinstance(v, bool) or not isinstance(v, kinds) or (
-                        isinstance(v, int) and v.bit_length() >= 1024):
-                    raise ConfigError(f"{what} has a malformed entry {v!r}")
+            return tuple(value)
+
+        def reals(what, value):
+            """listed(what, value), each entry a real that a float can hold."""
+            for v in listed(what, value):
+                real(v, lambda x: True, f"{what} has a malformed entry", ConfigError)
             return tuple(value)
 
         grid: GridSpec
         if kind == "c_grid":
-            try:
-                noise = float(grid_spec.get("noise", 0.0))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"grid.noise is not a number: {exc}") from exc
-            grid = CGrid(listed("grid.c", grid_spec.get("c")), noise)
+            noise = real(grid_spec.get("noise", 0.0), lambda x: True, "grid.noise must be a number",
+                         ConfigError)
+            grid = CGrid(reals("grid.c", grid_spec.get("c")), noise)
         elif kind == "pvec":
-            cells = listed("grid.cells", grid_spec.get("cells"), (list, tuple))
-            grid = ExplicitGrid(tuple(listed(f"grid.cells[{k}]", c) for k, c in enumerate(cells)))
+            cells = listed("grid.cells", grid_spec.get("cells"))
+            grid = ExplicitGrid(tuple(reals(f"grid.cells[{k}]", c) for k, c in enumerate(cells)))
         elif kind == "subsampling":
             grid = SubsamplingGrid(
-                *(listed(f"grid.{key}", grid_spec.get(key)) for key in ("r", "sa", "sb"))
+                *(reals(f"grid.{key}", grid_spec.get(key)) for key in ("r", "sa", "sb"))
             )
         else:
             raise ConfigError(f"unknown grid kind {kind!r}")
@@ -228,8 +230,7 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     """
     t0 = time.perf_counter()
     require_cap(n, cap, "a trial")
-    require_bytes(SAMPLE_BYTES_PER_PAIR * pair_count(n), "sampling a pair")
-    ga_bits, gb_bits = _sample_bits(n, p, rng_from_seed(seed))
+    ga_bits, gb_bits = sample_bits(n, p, seed)
     gb = Graph(n, gb_bits)
     if np.array_equal(ga_bits, gb_bits):
         aut = automorphism_count(gb, cap=cap)
@@ -331,7 +332,7 @@ _ML, _MR, _MT, _MB = 70, 150, 40, 60
 
 
 def _parse_sweep_csv(path) -> List[Dict]:
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path, "sweep CSV"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -498,8 +499,7 @@ def verify_gf(depth: int = 8, block_impl=None) -> VerifyReport:
     that exercise it (used by mutation tests to confirm a broken form is
     caught and named).
     """
-    if not 1 <= depth <= 8:
-        raise ParameterError(f"depth must be in [1, 8], got {depth}")
+    depth = count("depth", depth, 1, ("8", 8))
     block = block_impl or genfunc.block_gf
     rnd = random.Random(0x5EED5)
     checks: List[CheckResult] = []

@@ -28,7 +28,7 @@ from math import comb
 from typing import Dict, Tuple, Union
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import PVec, bijection
+from .model import PVec, bijection, count, real
 from .perms import CycleType
 
 #: enumeration guard: oracles walk 4^l (or 4^t) labelings
@@ -47,11 +47,8 @@ def _frac(x) -> Fraction:
 
 
 def _pack(m: int, d: int) -> int:
-    if m < 0:
-        raise ParameterError(f"marker exponent must be >= 0, got {m}")
-    if not -_HALF <= d < _HALF:
-        raise ParameterError(f"z exponent {d} is outside [-2^31, 2^31)")
-    return (int(m) << 32) + int(d)
+    m = count("marker exponent", m, 0)
+    return (m << 32) + count("z exponent", d, -_HALF, ("2^31 - 1", _HALF - 1))
 
 
 def _unpack(key: int) -> Tuple[int, int]:
@@ -78,7 +75,7 @@ class LaurentPoly:
         for e, q in coeffs.items():
             q = _frac(q)
             if q:
-                self._c[_pack(*e) if self._marked else int(e)] = q
+                self._c[_pack(*e) if self._marked else count("z exponent", e)] = q
 
     @classmethod
     def _of(cls, c: Dict[int, Fraction], marked: bool) -> "LaurentPoly":
@@ -180,8 +177,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ParameterError("polynomial powers must be nonnegative integers")
+        k = count("power", k, 0)
         result = LaurentPoly._of({0: Fraction(1)}, self._marked)
         base = self
         while k:
@@ -344,9 +340,7 @@ def _census(tau: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int, int, int, int],
 
 def _shift(ell: int) -> Tuple[int, ...]:
     """The l-cycle shift: position e reads the label at (e + 1) mod l."""
-    if ell < 1:
-        raise ParameterError(f"cycle length must be >= 1, got {ell}")
-    return tuple(range(1, ell)) + (0,)
+    return tuple(range(1, count("cycle length ell", ell, 1))) + (0,)
 
 
 def _joint_weights(tau, w: WMatrix) -> Dict[Tuple[int, int, int], Fraction]:
@@ -417,8 +411,7 @@ def block_gf(ell: int, u, v):
     u and v may be rationals or polynomials; the result follows the richer
     operand type.
     """
-    if ell < 1:
-        raise ParameterError(f"cycle length must be >= 1, got {ell}")
+    ell = count("cycle length ell", ell, 1)
     uh = u * Fraction(1, 2)
     base = uh * uh + v
     total = 0
@@ -486,10 +479,8 @@ def joint_pmf(ct: CycleType, p: PVec) -> LaurentPoly:
 
 def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:
     """PGF of the hypergeometric count: a draws without replacement from n items, b marked."""
-    if a < 0 or b < 0 or n < 0:
-        raise ParameterError("counts must be nonnegative")
-    if a > n or b > n:
-        raise ParameterError(f"need a <= n and b <= n, got a={a}, b={b}, n={n}")
+    n = count("n", n, 0)
+    a, b = count("a", a, 0, ("n", n)), count("b", b, 0, ("n", n))
     denom = comb(n, a)
     return LaurentPoly({
         k: Fraction(comb(b, k) * comb(n - b, a - k), denom)
@@ -499,10 +490,8 @@ def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:
 
 def bin_pgf(a: int, b: int, n: int) -> LaurentPoly:
     """PGF of the binomial count: a draws with replacement, marked fraction b/n."""
-    if a < 0 or b < 0 or n < 1:
-        raise ParameterError("need a, b >= 0 and n >= 1")
-    if a > n or b > n:
-        raise ParameterError(f"need a <= n and b <= n, got a={a}, b={b}, n={n}")
+    n = count("n", n, 1)
+    a, b = count("a", a, 0, ("n", n)), count("b", b, 0, ("n", n))
     q = Fraction(b, n)
     return LaurentPoly({0: 1 - q, 1: q}) ** a
 
@@ -514,7 +503,6 @@ def chernoff_tail(g: LaurentPoly, j: int, z1) -> Fraction:
     """
     if not g.has_nonneg_coeffs():
         raise DomainError("tail bound requires nonnegative coefficients")
+    real(z1, lambda x: 0 < x <= 1, "need 0 < z1 <= 1", DomainError)
     z1 = Fraction(z1)
-    if not 0 < z1 <= 1:
-        raise DomainError(f"need 0 < z1 <= 1, got {z1}")
-    return z1 ** (-j) * g.evaluate(z1)
+    return z1 ** -count("j", j) * g.evaluate(z1)

@@ -15,20 +15,57 @@ bound evaluation.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, ParameterError
 
-Rational = Union[int, Fraction]
 Prob = Union[int, float, Fraction]
 
 #: tolerance for the sum-to-one check when a PVec is built from floats
 FLOAT_SUM_TOL = 1e-12
+
+#: float(x) of a rational x succeeds exactly when |x| < FLOAT_EDGE; past it, x rounds to 2^1024
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+def count(name: str, value, low: Optional[int] = None,
+          high: Optional[Tuple[str, int]] = None, error=ParameterError) -> int:
+    """value read with operator.index, else error: not a bool, one a float can hold,
+    at least low and, where high = (its name, its value) is given, at most high."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a count")
+        value = operator.index(value)
+    except TypeError as exc:
+        raise error(f"{name} must be an integer, got {value!r}") from exc
+    if not abs(value) < FLOAT_EDGE:
+        raise error(f"{name} has {value.bit_length()} bits, past float range (2^1024)")
+    if high is not None and not low <= value <= high[1]:
+        raise error(f"{name} must be in [{low}, {high[0]}], got {value}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def real(value, within: Callable, rule: str, error=ParameterError) -> float:
+    """value as a finite float, else error(rule): not a bool, and within holds of
+    both value and that float, so NaN fails it and an exact value is judged exactly."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{rule}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # |value| >= FLOAT_EDGE
+        x = math.inf
+    if not (math.isfinite(x) and within(x) and within(value)):
+        raise error(f"{rule}, got {x}" + ("" if math.isfinite(x) else " (reals must be finite)"))
+    return x
 
 
 def pair_count(n: int) -> int:
@@ -42,13 +79,12 @@ def pair_index(i: int, j: int, n: int) -> int:
     For i < j the index is i*n - i*(i+1)/2 + (j-i-1); the order is
     (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
+    n = count("n", n, 1)
+    i = count("i", i, 0, ("n - 1", n - 1))
+    j = count("j", j, 0, ("n - 1", n - 1))
     if i == j:
         raise ParameterError(f"{{{i},{j}}} is not a vertex pair")
-    if i > j:
-        i, j = j, i
-    if not (0 <= i and j < n):
-        raise ParameterError(f"pair {{{i},{j}}} out of range for n={n}")
-    return pair_id(i, j, n)
+    return pair_id(min(i, j), max(i, j), n)
 
 
 def pair_id(lo, hi, n: int):
@@ -76,17 +112,6 @@ def lifted_pairs(images) -> np.ndarray:
     return pair_id(np.minimum(a, b), np.maximum(a, b), len(img))
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
-def _check_prob(name: str, x: Prob) -> None:
-    if isinstance(x, float) and not np.isfinite(x):
-        raise ParameterError(f"{name} must be finite, got {x!r}")
-    if not (0 <= x <= 1):
-        raise ParameterError(f"{name} must lie in [0,1], got {x!r}")
-
-
 @dataclass(frozen=True)
 class PVec:
     """Joint edge-label distribution (p11, p10, p01, p00) over {0,1}^2.
@@ -102,7 +127,7 @@ class PVec:
 
     def __post_init__(self):
         for name in ("p11", "p10", "p01", "p00"):
-            _check_prob(name, getattr(self, name))
+            real(getattr(self, name), lambda x: 0 <= x <= 1, f"{name} must lie in [0,1]")
         s = self.p11 + self.p10 + self.p01 + self.p00
         if self.is_exact:
             if s != 1:
@@ -112,7 +137,7 @@ class PVec:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in self.as_tuple())
+        return all(isinstance(x, (int, Fraction)) for x in self.as_tuple())
 
     @property
     def positively_correlated(self) -> bool:
@@ -184,8 +209,7 @@ class Graph:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits):
-        if n < 1:
-            raise ParameterError(f"vertex count must be >= 1, got {n}")
+        n = count("n", n, 1)
         arr = np.asarray(bits, dtype=np.uint8)
         t = pair_count(n)
         if arr.shape != (t,):
@@ -265,8 +289,10 @@ class Graph:
             raise ParameterError(
                 f"graph line for n={n} needs {(t + 7) // 8} bytes, got {len(raw)}"
             )
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=t, bitorder="little")
-        return cls(n, bits)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        if bits[t:].any():  # to_line writes them as 0, so every line read is its own to_line
+            raise ParameterError(f"graph line for n={n} sets padding bits past its {t} pairs")
+        return cls(n, bits[:t])
 
 
 @dataclass(frozen=True)
@@ -296,9 +322,7 @@ class TypeMatrix:
 
     def __post_init__(self):
         for name in ("k00", "k01", "k10", "k11"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {v}")
+            count(name, getattr(self, name), 0)
 
     @property
     def total(self) -> int:
@@ -323,7 +347,7 @@ class SubsamplingParams:
 
     def __post_init__(self):
         for name in ("r", "sa", "sb"):
-            _check_prob(name, getattr(self, name))
+            real(getattr(self, name), lambda x: 0 <= x <= 1, f"{name} must lie in [0,1]")
 
 
 def subsampling_to_pvec(s: SubsamplingParams) -> PVec:
@@ -347,7 +371,7 @@ def pvec_to_r(p: PVec):
     return p.p11 + p.p10 + p.p01 + p.p10 * p.p01 / p.p11
 
 
-#: bytes _sample_bits holds per vertex pair: a float64 uniform, two uint8 labels, bool temporaries
+#: bytes sample_bits holds per vertex pair: a float64 uniform, two uint8 labels, bool temporaries
 SAMPLE_BYTES_PER_PAIR = 13
 
 #: largest allocation a draw or an n! scan may make (bytes)
@@ -362,32 +386,30 @@ def require_bytes(need: int, what: str) -> None:
         )
 
 
-def _sample_bits(n: int, p: PVec, rng: np.random.Generator):
-    """Draw the two bit vectors of a correlated pair from an open generator."""
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """The package-wide reproducible generator: PCG64 keyed by a seed in [0, 2^64)."""
+    seed = count("seed", seed, 0, ("2^64 - 1", (1 << 64) - 1))
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def sample_bits(n: int, p: PVec, seed: int):
+    """The two uint8 label vectors of a correlated pair on [n], drawn from rng_from_seed(seed).
+
+    Each pair index draws its joint label independently with probabilities
+    (p11, p10, p01, p00).  Past SCAN_BYTE_BUDGET it refuses before drawing.
+    """
+    n = count("n", n, 1)
+    require_bytes(SAMPLE_BYTES_PER_PAIR * pair_count(n), "sampling a pair")
     c11, c10, c01, _ = p.as_floats()
-    u = rng.random(pair_count(n))
+    u = rng_from_seed(seed).random(pair_count(n))
     ga = (u < c11 + c10).astype(np.uint8)
     gb = ((u < c11) | ((u >= c11 + c10) & (u < c11 + c10 + c01))).astype(np.uint8)
     return ga, gb
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """The package-wide reproducible generator: PCG64 keyed by a seed in [0, 2^64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def sample_pair(n: int, p: PVec, seed: int) -> CorrelatedPair:
-    """Sample a correlated pair; identical seed gives bit-identical output.
-
-    Each pair index draws its joint label independently with probabilities
-    (p11, p10, p01, p00).  Past SCAN_BYTE_BUDGET it refuses before drawing.
-    """
-    if n < 1:
-        raise ParameterError(f"vertex count must be >= 1, got {n}")
-    require_bytes(SAMPLE_BYTES_PER_PAIR * pair_count(n), "sampling a pair")
-    ga, gb = _sample_bits(n, p, rng_from_seed(seed))
+    """sample_bits(n, p, seed) as a pair of graphs; identical seed gives bit-identical output."""
+    ga, gb = sample_bits(n, p, seed)
     return CorrelatedPair(Graph(n, ga), Graph(n, gb))
 
 
@@ -465,6 +487,4 @@ def expected_delta(p: PVec, t_tilde: int):
 
     Exact when p is in rational mode.
     """
-    if t_tilde < 0:
-        raise ParameterError(f"t_tilde must be >= 0, got {t_tilde}")
-    return t_tilde * (p.p00 * p.p11 - p.p01 * p.p10)
+    return count("t_tilde", t_tilde, 0) * (p.p00 * p.p11 - p.p01 * p.p10)

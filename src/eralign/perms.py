@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import bijection, lifted_pairs, pair_count
+from .model import bijection, count, lifted_pairs, pair_count, real
 
 #: default guard against accidental factorial blowup in exhaustive scans
 DEFAULT_ENUM_CAP = 10
@@ -62,7 +62,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls(tuple(range(count("n", n, 0))))
 
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
@@ -78,8 +78,8 @@ class Permutation:
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
         """Uniform permutation via Fisher-Yates on the supplied generator."""
-        images = list(range(n))
-        for i in range(n - 1, 0, -1):
+        images = list(range(count("n", n, 0)))
+        for i in range(len(images) - 1, 0, -1):
             j = int(rng.integers(0, i + 1))
             images[i], images[j] = images[j], images[i]
         return cls(tuple(images))
@@ -98,8 +98,8 @@ def lex_rank(images: Sequence[int]) -> int:
 
 def lex_unrank(rank: int, n: int) -> tuple[int, ...]:
     """The image sequence of lexicographic rank `rank` over [n]; the inverse of lex_rank."""
-    if not 0 <= rank < factorial(n):
-        raise ParameterError(f"rank {rank} is outside [0, {n}!)")
+    n = count("n", n, 0)
+    rank = count("rank", rank, 0, (f"{n}! - 1", factorial(n) - 1))
     rest = list(range(n))
     images = []
     for i in range(n - 1, -1, -1):
@@ -121,11 +121,9 @@ class CycleType:
     size: int
 
     def __post_init__(self):
-        counts = tuple(sorted((int(l), int(c)) for l, c in dict(self.counts).items() if c))
-        for l, c in counts:
-            if l < 1 or c < 0:
-                raise ParameterError(f"bad census entry ({l}, {c})")
-        if sum(l * c for l, c in counts) != self.size:
+        counts = tuple(sorted((count("cycle length", l, 1), count("cycle count", c, 0))
+                              for l, c in dict(self.counts).items() if c))
+        if sum(l * c for l, c in counts) != count("size", self.size, 0):
             raise ParameterError(
                 f"census {counts} does not cover a domain of size {self.size}"
             )
@@ -175,8 +173,7 @@ def cycle_type(tau) -> CycleType:
 @functools.lru_cache(maxsize=None)
 def derangements(k: int) -> int:
     """Permutations of [k] with no fixed point, via the standard recurrence."""
-    if k < 0:
-        raise ParameterError("derangements need k >= 0")
+    k = count("k", k, 0)
     if k == 0:
         return 1
     if k == 1:
@@ -186,14 +183,14 @@ def derangements(k: int) -> int:
 
 def count_support(n: int, n_tilde: int) -> int:
     """Number of permutations of [n] with exactly n - n_tilde fixed points."""
-    if not 0 <= n_tilde <= n:
-        raise ParameterError(f"need 0 <= n_tilde <= n, got n_tilde={n_tilde}, n={n}")
+    n = count("n", n, 0)
+    n_tilde = count("n_tilde", n_tilde, 0, ("n", n))
     return comb(n, n_tilde) * derangements(n_tilde)
 
 
 def require_cap(n: int, cap: int, what: str) -> None:
-    """Refuse n > cap with CapExceededError; what names the refused work."""
-    if n > cap:
+    """Refuse n > cap with CapExceededError naming what, and an n that is no count >= 0."""
+    if count("n", n, 0) > cap:
         raise CapExceededError(f"{what} at n = {n} exceeds cap {cap}")
 
 
@@ -211,9 +208,9 @@ def perm_gf_check(n: int, z: Fraction):
              1 + n^2 z^2 / (1 - n z)); the left side never exceeds the right
     for 0 <= z < 1/n.
     """
+    n = count("n", n, 1)
+    real(z, lambda x: 0 <= x < Fraction(1, n), f"need 0 <= z < 1/{n}", DomainError)
     z = Fraction(z)
-    if not 0 <= z < Fraction(1, n):
-        raise DomainError(f"need 0 <= z < 1/{n}, got {z}")
     lhs = sum(count_support(n, k) * z**k for k in range(n + 1))
     rhs = 1 + n**2 * z**2 / (1 - n * z)
     return lhs, rhs

@@ -397,6 +397,15 @@ def test_arithmetic_past_float_range_is_capped_and_flagged():
     assert rep.extras["tail"] == 1.0 and rep.uninformative
 
 
+def test_delta_tail_takes_the_sign_of_overflowing_products_from_scaled_weights():
+    # w01*w10 and w00*w11 are both inf; w / max(w) = (0.1, 0.1, 0.1, 1) is positively correlated
+    rep = ea.delta_tail_bound(ea.WMatrix(10**200, 10**200, 10**200, 10**201), 2)
+    assert rep.value == math.inf and rep.uninformative
+    assert math.isclose(rep.extras["z1"], math.sqrt(0.1))
+    with pytest.raises(DomainError):  # w / max(w) = (0.1, 1, 0.1, 0.1) is not
+        ea.delta_tail_bound(ea.WMatrix(10**200, 10**201, 10**200, 10**200), 2)
+
+
 def test_averaged_tail_reads_floats_past_int64():
     # C(n,2) = 5e21 > 2^63: the cutoff and t reach scipy as floats
     rep = ea.average_over_edge_count(10**11, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 0.5)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eralign as ea
-from eralign import estimator, experiment
+from eralign import estimator
 from eralign.cli import main
 from eralign.experiment import CGrid, SweepConfig, run_sweep
 
@@ -207,6 +207,14 @@ def test_align_missing_file_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+#: argv entries that name a file, written with these bytes before the run
+FILE_BYTES = {
+    "K4": b"n=4;edges=3f\n",
+    "PADDED_K4": b"n=4;edges=ff\n",
+    "NOT_UTF8": b"\xff\xfe\x00bad",
+    "HUGE_INT_JSON": b'{"n": ' + b"1" * 5000 + b', "trials": 1, "grid": {"kind": "c_grid", "c": [1]}}',
+}
+
 MALFORMED_ARGV = {
     "gen-no-p": ["gen", "--n", "3"],
     "p-letters": ["gen", "--n", "4", "--p", "a,b,c,d"],
@@ -223,6 +231,7 @@ MALFORMED_ARGV = {
     "config-r-letter": {"kind": "subsampling", "r": ["a"], "sa": [1], "sb": [1]},
     "config-c-past-float": {"kind": "c_grid", "c": [10**400]},
     "config-noise-past-float": {"kind": "c_grid", "c": [1], "noise": 10**400},
+    "config-noise-string": {"kind": "c_grid", "c": [1], "noise": "0.05"},
     "gen-p-past-float": ["gen", "--n", "5", "--p", "1e400,0,0,0"],
     "gen-past-byte-budget": ["gen", "--n", "1000000", "--p", "0.5,0,0,0.5"],
     "dense-base-p-past-float": ["bounds", "--op", "dense-base", "--n", "5", "--p", "1e400,0,0,0"],
@@ -242,6 +251,13 @@ MALFORMED_ARGV = {
                                 "--p", "0.5,0,0,0.5"],
     "delta-tail-t-tilde-past-float": ["bounds", "--op", "delta-tail", "--w", "1,0.1,0.1,1",
                                       "--t-tilde", str(10**400)],
+    "edges-conditioned-m-past-pairs": ["bounds", "--op", "edges-conditioned", "--n", "3",
+                                       "--m", str(10**308)],
+    "aut-graph-not-utf8": ["aut", "--graph", "NOT_UTF8"],
+    "aut-graph-padding-bits-set": ["aut", "--graph", "PADDED_K4"],
+    "align-gb-not-utf8": ["align", "--gc", "K4", "--gb", "NOT_UTF8"],
+    "sweep-config-not-utf8": ["sweep", "--config", "NOT_UTF8"],
+    "sweep-config-int-past-digit-limit": ["sweep", "--config", "HUGE_INT_JSON"],
 }
 
 
@@ -252,7 +268,9 @@ def test_malformed_lists_exit_2_without_traceback(case, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n": 6, "trials": 1, "grid": argv}))
         argv = ["sweep", "--config", str(cfg_file)]
-    code, _, err = run_cli(capsys, *argv)
+    for name in set(argv) & set(FILE_BYTES):
+        (tmp_path / name).write_bytes(FILE_BYTES[name])
+    code, _, err = run_cli(capsys, *(str(tmp_path / a) if a in FILE_BYTES else a for a in argv))
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -281,6 +299,8 @@ def test_seeds_outside_64_bits_exit_2(command, seed, tmp_path, capsys):
     ["bounds", "--op", "conditional-tail", "--n", "100000", "--t-tilde", "100000",
      "--m-tilde", "5"],
     ["bounds", "--op", "delta-tail", "--w", "9,1,1,9", "--t-tilde", "100000"],
+    # both weight products are inf; the correlation's sign comes from w / max(w)
+    ["bounds", "--op", "delta-tail", "--w", "1e200,1e200,1e200,1e201", "--t-tilde", "2"],
 ])
 def test_bound_overflow_reports_inf_uninformative(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
@@ -288,6 +308,17 @@ def test_bound_overflow_reports_inf_uninformative(argv, capsys):
     rep = json.loads(out)
     assert rep["value"] == "inf"
     assert rep["uninformative"] is True
+
+
+def test_delta_tail_of_ordinary_weights_prints_its_exact_report(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--op", "delta-tail", "--w", "9,1,1,9",
+                           "--t-tilde", "7")
+    assert code == 0
+    assert out == (
+        '{"name": "delta-tail", "value": 331887705.1069983, "valid": true, "uninformative": false, '
+        '"inputs": {"w": [9.0, 1.0, 1.0, 9.0], "t_tilde": 7}, '
+        '"extras": {"z1": 0.1111111111111111, "base": 272.0}, "notes": ""}\n'
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,9 +400,9 @@ def test_sweep_noise_needs_a_c_grid(tmp_path, capsys):
 
 def test_sweep_refuses_a_huge_n_before_sampling(capsys):
     def no_draw(*args):
-        raise AssertionError("a pair was sampled")
+        raise AssertionError("a generator was made to sample a pair")
 
-    with mock.patch.object(experiment, "_sample_bits", no_draw):
+    with mock.patch.object(ea.model, "rng_from_seed", no_draw):
         for flags, reason in (([], "cap 10"), (["--cap", "100000"], "byte budget")):
             code, out, err = run_cli(capsys, "sweep", "--n", "100000", "--c-grid", "1", *flags)
             assert code == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eralign as ea
-from eralign import estimator, experiment, genfunc
+from eralign import estimator, genfunc
 from eralign.errors import CapExceededError, ConfigError, ParameterError
 from eralign.experiment import (
     CGrid,
@@ -78,9 +78,8 @@ def test_trial_min_delta_sign():
 
 def trial_by_separate_passes(n, p, seed):
     """Oracle: a trial's fields from its scan, one pass over the n! scores each."""
-    rng = ea.model.rng_from_seed(seed)
-    ga_bits, gb_bits = ea.model._sample_bits(n, p, rng)
-    pi = ea.Permutation.random(n, rng)
+    ga_bits, gb_bits = ea.model.sample_bits(n, p, seed)
+    pi = ea.Permutation.random(n, ea.model.rng_from_seed(seed))
     gc = ea.anonymize(ea.Graph(n, ga_bits), pi)
     deltas = ea.hamming_scan(gc.bits, gb_bits, n)
     dmin = int(deltas.min())
@@ -119,9 +118,9 @@ def test_trial_fields_match_separate_passes(noise):
 
 def test_trial_refuses_before_sampling(monkeypatch):
     def no_draw(*args):
-        raise AssertionError("a pair was sampled")
+        raise AssertionError("a generator was made to sample a pair")
 
-    monkeypatch.setattr(experiment, "_sample_bits", no_draw)
+    monkeypatch.setattr(ea.model, "rng_from_seed", no_draw)
     p = ea.PVec(0.5, 0.0, 0.0, 0.5)
     with pytest.raises(CapExceededError, match="cap 10"):
         run_trial(100_000, p, seed=0)
@@ -398,6 +397,13 @@ def test_emit_plot_field_count(tmp_path):
     bad = tmp_path / "bad3.csv"
     bad.write_text(CSV_HEADER + "\n6,0.1,0.0\n")
     with pytest.raises(ConfigError, match="line 2"):
+        emit_plot(bad, tmp_path / "x.svg")
+
+
+def test_emit_plot_refuses_a_csv_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ConfigError, match="not UTF-8"):
         emit_plot(bad, tmp_path / "x.svg")
 
 

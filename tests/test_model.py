@@ -97,6 +97,23 @@ def test_graph_line_round_trip(g):
     assert ea.Graph.from_line(g.to_line()) == g
 
 
+def test_graph_line_with_padding_bits_set_is_refused():
+    assert ea.Graph.complete(4).to_line() == "n=4;edges=3f"
+    with pytest.raises(ParameterError, match="padding"):
+        ea.Graph.from_line("n=4;edges=ff")  # K4 and two bits past its 6 pairs
+    # every line accepted is its own to_line: any value of the last byte, n = 2..7
+    for n in range(2, 8):
+        t = ea.pair_count(n)
+        head = "00" * ((t + 7) // 8 - 1)
+        for last in range(256):
+            line = f"n={n};edges={head}{last:02x}"
+            if last >> ((t - 1) % 8 + 1):  # a bit past pair t - 1 is set
+                with pytest.raises(ParameterError, match="padding"):
+                    ea.Graph.from_line(line)
+            else:
+                assert ea.Graph.from_line(line).to_line() == line
+
+
 def test_graph_line_malformed():
     with pytest.raises(ParameterError):
         ea.Graph.from_line("nope")
@@ -381,3 +398,43 @@ def test_subsampling_round_trip_exact():
 def test_pvec_to_r_requires_p11():
     with pytest.raises(DomainError):
         ea.pvec_to_r(ea.PVec(0, F(1, 2), F(1, 4), F(1, 4)))
+
+
+# ---------------------------------------------------------------------------
+# one count gate and one real gate for the whole package
+
+P_HALF = ea.PVec(0.5, 0, 0, 0.5)
+ZEROS3 = np.zeros(3, dtype=np.uint8)
+
+#: a call with one malformed argument, the error it raises, and the parameter that error names
+GATED = {
+    "Graph-n-float": (lambda: ea.Graph(2.0, [1]), ParameterError, "n"),
+    "Graph-n-bool": (lambda: ea.Graph(True, []), ParameterError, "n"),
+    "TypeMatrix-float": (lambda: ea.TypeMatrix(1.5, 0, 0, 0), ParameterError, "k00"),
+    "pair_index-float": (lambda: pair_index(0, 1.5, 3), ParameterError, "j"),
+    "sample_pair-n-float": (lambda: ea.sample_pair(3.0, P_HALF, 0), ParameterError, "n"),
+    "sample_pair-seed-float": (lambda: ea.sample_pair(3, P_HALF, 1.5), ParameterError, "seed"),
+    "run_trial-n-float": (lambda: ea.run_trial(5.0, P_HALF, 0), ParameterError, "n"),
+    "hamming_scan-n-float": (lambda: ea.hamming_scan(ZEROS3, ZEROS3, 3.0), ParameterError, "n"),
+    "lex_unrank-rank-float": (lambda: ea.perms.lex_unrank(1.0, 3), ParameterError, "rank"),
+    "count_support-float": (lambda: ea.count_support(5, 2.5), ParameterError, "n_tilde"),
+    "perm_gf_check-n-0": (lambda: ea.perm_gf_check(0, 0), ParameterError, "n"),
+    "perm_gf_check-z-nan": (lambda: ea.perm_gf_check(3, math.nan), DomainError, "z"),
+    "LaurentPoly-float-exponent": (lambda: ea.LaurentPoly({0.5: 1}), ParameterError, "exponent"),
+    "cycle_gf-float": (lambda: ea.cycle_gf(2.5, ea.WMatrix.ones()), ParameterError, "ell"),
+    "hyp_pgf-float": (lambda: ea.hyp_pgf(1.5, 1, 3), ParameterError, "a"),
+    "bin_pgf-bool": (lambda: ea.bin_pgf(True, 1, 3), ParameterError, "a"),
+    "expected_delta-float": (lambda: ea.expected_delta(P_HALF, 2.5), ParameterError, "t_tilde"),
+    "verify_gf-float": (lambda: ea.verify_gf(2.5), ParameterError, "depth"),
+    "PVec-string": (lambda: ea.PVec("a", 0, 0, 1), ParameterError, "p11"),
+    "chernoff_tail-z1-nan": (lambda: ea.chernoff_tail(ea.LaurentPoly({0: 1}), 0, math.nan),
+                             DomainError, "z1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATED))
+def test_a_malformed_argument_meets_the_gate_by_name(case):
+    call, error, name = GATED[case]
+    with pytest.raises(error, match=rf"\b{name}\b") as info:
+        call()
+    assert type(info.value) is error
