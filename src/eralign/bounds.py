@@ -12,6 +12,7 @@ passes model.count and every real model.real, which refuse what no float can hol
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, exp, log, log1p, sqrt
@@ -128,17 +129,18 @@ def delta_tail_bound(w: Union[WMatrix, PVec], t_tilde: int) -> BoundReport:
     attained by tilting at z1 = sqrt(w01*w10 / (w00*w11)).
     """
     w00, w01, w10, w11 = _weights(w)
-    u = w00 + w01 + w10 + w11
-    # sign and z1 are scale-free, so where a product overflows they come from w / max(w);
-    # u*u overflows then too, so the gap of the scaled weights goes unused
-    top = max(w00, w01, w10, w11) if math.isinf(max(w01 * w10, w00 * w11)) else 1.0
+    lo, hi = sorted((w01 * w10, w00 * w11))
+    # the sign and z1 are scale-free and the base scales as top^2, so where a product
+    # overflows or underflows they come from w / max(w)
+    top = max(w00, w01, w10, w11) if not sys.float_info.min <= lo <= hi < math.inf else 1.0
     s00, s01, s10, s11 = (x / top for x in (w00, w01, w10, w11))
     corr, gap = _correlation(s11, s10, s01, s00)
     if not corr:
         raise DomainError("requires w01*w10 < w00*w11 (positive correlation)")
     t_tilde = count("t_tilde", t_tilde, 0)
-    # gap <= u^2/4, so only u*u can overflow; the base then lies past float range
-    base = u * u - 2 * gap if math.isfinite(u * u) else math.inf
+    u = s00 + s01 + s10 + s11
+    # gap <= u^2/4 keeps the scaled base positive; top * top may overflow to inf or underflow to 0
+    base = top * top * (u * u - 2 * gap)
     value = _power(base, t_tilde / 2)
     z1 = sqrt((s01 * s10) / (s00 * s11))
     return BoundReport(

@@ -22,9 +22,9 @@ classes (equal open or closed neighbourhoods) are collapsed first, over
 as many passes as collapse something, so |Aut| = prod |C|! * |Aut| of the
 coloured quotient; that quotient's group is counted by colour refinement
 and individualization (McKay & Piperno, "Practical graph isomorphism,
-II", 2014).  A rigid graph's runner-up score, the second-smallest of the
-scan of (g, g), comes from a pruned prefix search.  The scan stays the
-independent oracle of both.
+II", 2014).  A graph's runner-up score, the second-smallest of the scan
+of (g, g), comes from a prefix search pruned strictly below the best
+transposition's distance.  The scan stays the independent oracle of both.
 """
 
 from __future__ import annotations
@@ -206,20 +206,28 @@ def q_set_size(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     return map_estimate(ga, gb, planted=Permutation.identity(ga.n), cap=cap).q_size
 
 
+#: bytes per (survivor, vertex) entry of a runner-up search level: np.nonzero's
+#: two int64 indices; an unpruned search at n = 10 peaks at 13 bytes per entry
+_SEARCH_ENTRY_BYTES = 16
+
+
 def runner_up_distance(g: Graph) -> int:
     """Smallest Hamming distance from g to its relabelling by a non-identity permutation.
 
-    This is the second-smallest score of the scan of (g, g) when g is rigid,
-    found without an n! table.  The best of the C(n, 2) transpositions
-    bounds it; then the prefixes pi(0..j) are grown level by level, each
-    keeping its partial distance over the pairs inside 0..j, and a prefix
-    survives while that distance is at most the bound.  Partial distances
-    never fall as a prefix grows, so the survivors at depth n are every
-    permutation within the bound.  A prefix stores, per vertex w, the mask
-    of positions i < j whose image is adjacent to w.  Even with nothing
-    pruned, a search at n = 10 peaks at 0.48 GB, below SCAN_BYTE_BUDGET;
-    run_trial calls it only where the scan fits.  Masks are uint16, so
-    2 <= n <= 16.
+    This is the second-smallest score of the scan of (g, g), found without
+    an n! table.  The best of the C(n, 2) transpositions bounds it; then
+    the prefixes pi(0..j) are grown level by level, each keeping its
+    partial distance over the pairs inside 0..j, and a prefix survives
+    while that distance is below the bound.  Partial distances never fall
+    as a prefix grows, so a pruned prefix could only tie the transposition,
+    and the answer is the best non-identity survivor at depth n, or the
+    bound if none is left, as when the bound is 0.  A prefix stores, per
+    vertex w, the mask of positions i < j whose image is adjacent to w.
+    Before a level's survivors are gathered, require_bytes counts
+    _SEARCH_ENTRY_BYTES per (survivor, vertex) entry and raises
+    CapExceededError past SCAN_BYTE_BUDGET.  On 90 rigid graphs at n = 10
+    the search peaked at 1.2 MB; run_trial calls it only where the scan
+    fits.  Masks are uint16, so 2 <= n <= 16.
     """
     n = count("n", g.n, 2, ("16", 16))
     adj = np.zeros((n, n), dtype=np.uint16)
@@ -239,10 +247,11 @@ def runner_up_distance(g: Graph) -> int:
     for j in range(n):
         cost = dist[:, None] + pop[nbr ^ (rows[j] & ((1 << j) - 1))]
         free = ((used[:, None] >> verts) & 1) == 0
-        k, v = np.nonzero(free & (cost <= bound))
+        k, v = np.nonzero(free & (cost < bound))
+        require_bytes(k.size * n * _SEARCH_ENTRY_BYTES, "a runner-up search")
         dist, used, ident = cost[k, v], used[k] | (1 << verts[v]), ident[k] & (v == j)
         nbr = nbr[k] | (adj[v] << j)
-    return int(dist[~ident].min())
+    return int(dist[~ident].min(initial=bound))
 
 
 def automorphism_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:

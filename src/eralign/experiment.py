@@ -53,8 +53,9 @@ class TrialResult:
     min_delta_nonid is half the score gap from the planted alignment to the
     best other one.  For an identical pair it is 0 unless the graph is
     rigid, and then half its runner_up_distance; past the n! scan's reach
-    it is None (that search took 2.3 s and 1 GB per rigid graph at n = 16
-    on a 2-core machine).
+    it is None (on 30 rigid graphs at n = 16, ten each at c = 1, 2, 3, that
+    search took a median of 0.07-0.85 s per c, up to 2.8 s and 0.6 GB, on
+    a 2-vCPU VM).
     """
 
     cell: str

@@ -406,6 +406,17 @@ def test_delta_tail_takes_the_sign_of_overflowing_products_from_scaled_weights()
         ea.delta_tail_bound(ea.WMatrix(10**200, 10**201, 10**200, 10**200), 2)
 
 
+def test_delta_tail_takes_the_sign_of_underflowing_products_from_scaled_weights():
+    # w01*w10 and w00*w11 are both 0.0; w / max(w) = (0.1, 0.1, 0.1, 1) is positively correlated
+    small, large = F(1, 10**200), F(1, 10**199)
+    rep = ea.delta_tail_bound(ea.WMatrix(small, small, small, large), 2)
+    assert math.isclose(rep.extras["z1"], math.sqrt(0.1))
+    # the base, 1e-398 * (1.3^2 - 2 * (sqrt(0.1) - 0.1)^2), rounds to 0.0
+    assert rep.extras["base"] == rep.value == 0.0 and not rep.uninformative
+    with pytest.raises(DomainError):  # w / max(w) = (0.1, 1, 0.1, 0.1) is not
+        ea.delta_tail_bound(ea.WMatrix(small, large, small, small), 2)
+
+
 def test_averaged_tail_reads_floats_past_int64():
     # C(n,2) = 5e21 > 2^63: the cutoff and t reach scipy as floats
     rep = ea.average_over_edge_count(10**11, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 0.5)

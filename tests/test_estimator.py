@@ -500,6 +500,53 @@ def test_runner_up_distance_on_sampled_rigid_graphs(n):
         estimator._lift_table.cache_clear()
 
 
+def test_runner_up_distance_on_every_labelled_graph_up_to_n6():
+    # rigid or not: a non-rigid graph's second-smallest self-score is 0
+    for n in range(2, 7):
+        t = ea.pair_count(n)
+        labellings = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
+        for x in labellings:
+            want = np.partition(ea.hamming_scan(x, x, n), 1)[1]
+            assert estimator.runner_up_distance(ea.Graph(n, x)) == want, (n, x)
+
+
+def test_runner_up_search_refuses_past_the_byte_budget(monkeypatch):
+    # an unpruned search at n = 10 holds at most 10! survivors per level
+    assert factorial(10) * 10 * estimator._SEARCH_ENTRY_BYTES <= ea.model.SCAN_BYTE_BUDGET
+    rng = rng_from_seed(5109)
+    g = random_graph(9, rng, density=log(9) / 9)
+    while ea.refinement_aut_count(g) != 1:
+        g = random_graph(9, rng, density=log(9) / 9)
+    needs = []
+
+    def record(need, what):
+        needs.append(need)
+        ea.model.require_bytes(need, what)
+
+    monkeypatch.setattr(estimator, "require_bytes", record)
+    want = estimator.runner_up_distance(g)
+    monkeypatch.undo()
+    # every one-vertex prefix has partial distance 0, so all 9 survive the first level
+    assert needs[0] == 9 * 9 * estimator._SEARCH_ENTRY_BYTES and len(needs) == 9
+    monkeypatch.setattr(ea.model, "SCAN_BYTE_BUDGET", max(needs))
+    assert estimator.runner_up_distance(g) == want
+    monkeypatch.setattr(ea.model, "SCAN_BYTE_BUDGET", max(needs) - 1)
+    with pytest.raises(CapExceededError, match="a runner-up search needs .*byte budget"):
+        estimator.runner_up_distance(g)
+
+
+def test_trial_gap_equals_the_scan_gap_on_the_readme_grid_at_n9():
+    n, identity, rigid = 9, ea.Permutation.identity(9), 0
+    for cell in CGrid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0)).cells(n):
+        for seed in range(20250809, 20250809 + 50):
+            gb = ea.sample_pair(n, cell.p, seed).gb
+            want = ea.map_estimate(gb, gb, planted=identity)
+            tr = ea.run_trial(n, cell.p, seed)
+            assert tr.min_delta_nonid == want.min_delta_nonid, (cell.cell_id, seed)
+            rigid += tr.strict_success
+    assert rigid >= 50  # each of these trials ran the runner-up search
+
+
 def cycles(*lengths):
     edges, start = [], 0
     for length in lengths:
