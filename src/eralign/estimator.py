@@ -23,8 +23,8 @@ as many passes as collapse something, so |Aut| = prod |C|! * |Aut| of the
 coloured quotient; that quotient's group is counted by colour refinement
 and individualization (McKay & Piperno, "Practical graph isomorphism,
 II", 2014).  A graph's runner-up score, the second-smallest of the scan
-of (g, g), comes from a prefix search pruned strictly below the best
-transposition's distance.  The scan stays the independent oracle of both.
+of (g, g), is set by parity where the best transposition scores 2, else
+by a search pruned one below that score.  The scan is the oracle of both.
 """
 
 from __future__ import annotations
@@ -215,19 +215,23 @@ def runner_up_distance(g: Graph) -> int:
     """Smallest Hamming distance from g to its relabelling by a non-identity permutation.
 
     This is the second-smallest score of the scan of (g, g), found without
-    an n! table.  The best of the C(n, 2) transpositions bounds it; then
-    the prefixes pi(0..j) are grown level by level, each keeping its
-    partial distance over the pairs inside 0..j, and a prefix survives
-    while that distance is below the bound.  Partial distances never fall
-    as a prefix grows, so a pruned prefix could only tie the transposition,
-    and the answer is the best non-identity survivor at depth n, or the
-    bound if none is left, as when the bound is 0.  A prefix stores, per
+    an n! table.  g and pi(g) have as many edges, so their distance is
+    2 |E - pi(E)|: even, and 0 only where pi is an automorphism.  The best
+    of the C(n, 2) transpositions bounds it.  A bound of 0 or 2 is the
+    answer unless g has a non-identity automorphism (answer 0), which
+    refinement_aut_count decides, so run_trial refines such a graph twice.
+    Past that, the prefixes pi(0..j) are grown level by level, each keeping
+    its partial distance over the pairs inside 0..j, and a prefix survives
+    while that distance is below bound - 1.  Partial distances never fall
+    as a prefix grows and a full distance is even, so a pruned prefix could
+    at best tie the transposition, and the answer is the best non-identity
+    survivor at depth n, or the bound if none is left.  A prefix stores, per
     vertex w, the mask of positions i < j whose image is adjacent to w.
     Before a level's survivors are gathered, require_bytes counts
     _SEARCH_ENTRY_BYTES per (survivor, vertex) entry and raises
-    CapExceededError past SCAN_BYTE_BUDGET.  On 90 rigid graphs at n = 10
-    the search peaked at 1.2 MB; run_trial calls it only where the scan
-    fits.  Masks are uint16, so 2 <= n <= 16.
+    CapExceededError past SCAN_BYTE_BUDGET.  On 90 rigid graphs at n = 10,
+    14 searched and the largest level counted 0.55 MB; run_trial calls it
+    only where the scan fits.  Masks are uint16, so 2 <= n <= 16.
     """
     n = count("n", g.n, 2, ("16", 16))
     adj = np.zeros((n, n), dtype=np.uint16)
@@ -240,6 +244,8 @@ def runner_up_distance(g: Graph) -> int:
         pop[1 << b : 2 << b] = pop[: 1 << b] + 1
     # transposition (a b): each w off {a, b} with adj[a, w] != adj[b, w] moves two pairs
     bound = int(2 * (pop[rows[ii] ^ rows[jj]] - 2 * adj[ii, jj]).min())
+    if bound <= 2:
+        return bound if bound == 0 or refinement_aut_count(g) == 1 else 0
     nbr = np.zeros((1, n), dtype=np.uint16)  # bit i of nbr[k, w]: prefix k maps i next to w
     dist = np.zeros(1, dtype=np.int16)
     used = np.zeros(1, dtype=np.uint16)
@@ -247,7 +253,7 @@ def runner_up_distance(g: Graph) -> int:
     for j in range(n):
         cost = dist[:, None] + pop[nbr ^ (rows[j] & ((1 << j) - 1))]
         free = ((used[:, None] >> verts) & 1) == 0
-        k, v = np.nonzero(free & (cost < bound))
+        k, v = np.nonzero(free & (cost < bound - 1))
         require_bytes(k.size * n * _SEARCH_ENTRY_BYTES, "a runner-up search")
         dist, used, ident = cost[k, v], used[k] | (1 << verts[v]), ident[k] & (v == j)
         nbr = nbr[k] | (adj[v] << j)

@@ -54,8 +54,8 @@ class TrialResult:
     best other one.  For an identical pair it is 0 unless the graph is
     rigid, and then half its runner_up_distance; past the n! scan's reach
     it is None (on 30 rigid graphs at n = 16, ten each at c = 1, 2, 3, that
-    search took a median of 0.07-0.85 s per c, up to 2.8 s and 0.6 GB, on
-    a 2-vCPU VM).
+    search took a median of 0.00-0.03 s per c, up to 0.8 s and 272 MB peak
+    process RSS, on a 2-vCPU VM).
     """
 
     cell: str

@@ -417,6 +417,14 @@ def test_delta_tail_takes_the_sign_of_underflowing_products_from_scaled_weights(
         ea.delta_tail_bound(ea.WMatrix(small, large, small, small), 2)
 
 
+@pytest.mark.parametrize("e01, e10", [(200, 200), (200, 120)])
+def test_delta_tail_keeps_z1_where_only_w01_w10_underflows(e01, e10):
+    # max(w) = 1, so scaling cannot lift w01*w10 (0.0 or subnormal) back into range
+    rep = ea.delta_tail_bound(ea.WMatrix(1, F(1, 10**e01), F(1, 10**e10), 1), 3)
+    assert math.isclose(rep.extras["z1"], 10.0 ** -((e01 + e10) // 2), rel_tol=1e-9)
+    assert rep.extras["base"] == 2.0
+
+
 def test_averaged_tail_reads_floats_past_int64():
     # C(n,2) = 5e21 > 2^63: the cutoff and t reach scipy as floats
     rep = ea.average_over_edge_count(10**11, ea.PVec(0.5, 0, 0, 0.5), 0.5, 1.0, 0.5)

@@ -486,6 +486,47 @@ def test_runner_up_distance_on_the_asymmetric_graphs_at_n6():
         assert estimator.runner_up_distance(ea.Graph(n, x)) == np.partition(scores, 1)[1], x
 
 
+def best_transposition(g):
+    """Smallest Hamming distance from g to its relabelling by one transposition."""
+    dists = []
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            images = list(range(g.n))
+            images[a], images[b] = b, a
+            dists.append(int((g.bits[ea.lift(ea.Permutation(images))] != g.bits).sum()))
+    return min(dists)
+
+
+def test_runner_up_distance_at_a_transposition_bound_of_2(monkeypatch):
+    # every self-distance is even, so bound 2 leaves 0 (an automorphism) or 2
+    path4 = ea.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert best_transposition(path4) == 2 and ea.refinement_aut_count(path4) == 2
+    assert estimator.runner_up_distance(path4) == 0
+    assert best_transposition(RIGID6) == 2 and ea.refinement_aut_count(RIGID6) == 1
+    needs = []
+    monkeypatch.setattr(estimator, "require_bytes", lambda need, what: needs.append(need))
+    assert estimator.runner_up_distance(RIGID6) == 2 and needs == []  # no search level ran
+    assert np.partition(ea.hamming_scan(RIGID6.bits, RIGID6.bits, 6), 1)[1] == 2
+
+
+# rigid graphs of the README grid at n = 9, c = 2 (sample_pair seeds 20250809 + k)
+# whose best transposition scores 4, keyed by their runner-up distance
+BOUND4_RIGID9 = {
+    2: ["n=9;edges=5a55727701", "n=9;edges=caf9b0d40a", "n=9;edges=a280559809"],
+    4: ["n=9;edges=1c4f0d0c07", "n=9;edges=13b798580a", "n=9;edges=99ebacba07"],
+}
+
+
+def test_runner_up_distance_below_a_transposition_bound_of_4():
+    # a prefix at partial distance 2 can still finish at 2, below the bound
+    for want, lines in BOUND4_RIGID9.items():
+        for line in lines:
+            g = ea.Graph.from_line(line)
+            assert best_transposition(g) == 4 and ea.refinement_aut_count(g) == 1, line
+            assert np.partition(ea.hamming_scan(g.bits, g.bits, 9), 1)[1] == want, line
+            assert estimator.runner_up_distance(g) == want, line
+
+
 @pytest.mark.parametrize("n", [7, 8, 9, 10])
 def test_runner_up_distance_on_sampled_rigid_graphs(n):
     rng = rng_from_seed(5100 + n)
@@ -501,7 +542,9 @@ def test_runner_up_distance_on_sampled_rigid_graphs(n):
 
 
 def test_runner_up_distance_on_every_labelled_graph_up_to_n6():
-    # rigid or not: a non-rigid graph's second-smallest self-score is 0
+    # rigid or not: a non-rigid graph's second-smallest self-score is 0.  This
+    # cannot tell the search from one that prunes at bound - 2 or takes its exit
+    # up to a bound of 4; the bound-4 test above can
     for n in range(2, 7):
         t = ea.pair_count(n)
         labellings = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
@@ -515,7 +558,8 @@ def test_runner_up_search_refuses_past_the_byte_budget(monkeypatch):
     assert factorial(10) * 10 * estimator._SEARCH_ENTRY_BYTES <= ea.model.SCAN_BYTE_BUDGET
     rng = rng_from_seed(5109)
     g = random_graph(9, rng, density=log(9) / 9)
-    while ea.refinement_aut_count(g) != 1:
+    # a rigid graph at a bound of 2 returns without a search
+    while ea.refinement_aut_count(g) != 1 or best_transposition(g) < 4:
         g = random_graph(9, rng, density=log(9) / 9)
     needs = []
 
