@@ -143,9 +143,9 @@ def delta_tail_bound(w: Union[WMatrix, PVec], t_tilde: int) -> BoundReport:
     base = top * top * (u * u - 2 * gap)
     value = _power(base, t_tilde / 2)
     num, den = s01 * s10, s00 * s11
-    # w / max(w) can still underflow a product (w = 1, 1e-200, 1e-200, 1): split the root there
+    # w / max(w) can still underflow a product (w = 1, 1e-200, 1e-200, 1): root each weight first
     normal = min(num, den) >= sys.float_info.min
-    z1 = sqrt(num / den) if normal else sqrt(s01 / s00) * sqrt(s10 / s11)
+    z1 = sqrt(num / den) if normal else sqrt(s01) / sqrt(s00) * (sqrt(s10) / sqrt(s11))
     return BoundReport(
         name="delta-tail",
         value=value,

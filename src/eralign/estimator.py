@@ -217,9 +217,9 @@ def runner_up_distance(g: Graph) -> int:
     This is the second-smallest score of the scan of (g, g), found without
     an n! table.  g and pi(g) have as many edges, so their distance is
     2 |E - pi(E)|: even, and 0 only where pi is an automorphism.  The best
-    of the C(n, 2) transpositions bounds it.  A bound of 0 or 2 is the
-    answer unless g has a non-identity automorphism (answer 0), which
-    refinement_aut_count decides, so run_trial refines such a graph twice.
+    of the C(n, 2) transpositions bounds it.  A bound of 2 or less is the
+    answer if g is rigid, else the answer is 0; refinement_aut_count
+    decides, so run_trial refines such a graph twice.
     Past that, the prefixes pi(0..j) are grown level by level, each keeping
     its partial distance over the pairs inside 0..j, and a prefix survives
     while that distance is below bound - 1.  Partial distances never fall
@@ -245,7 +245,7 @@ def runner_up_distance(g: Graph) -> int:
     # transposition (a b): each w off {a, b} with adj[a, w] != adj[b, w] moves two pairs
     bound = int(2 * (pop[rows[ii] ^ rows[jj]] - 2 * adj[ii, jj]).min())
     if bound <= 2:
-        return bound if bound == 0 or refinement_aut_count(g) == 1 else 0
+        return bound if refinement_aut_count(g) == 1 else 0
     nbr = np.zeros((1, n), dtype=np.uint16)  # bit i of nbr[k, w]: prefix k maps i next to w
     dist = np.zeros(1, dtype=np.int16)
     used = np.zeros(1, dtype=np.uint16)

@@ -417,12 +417,17 @@ def test_delta_tail_takes_the_sign_of_underflowing_products_from_scaled_weights(
         ea.delta_tail_bound(ea.WMatrix(small, large, small, small), 2)
 
 
-@pytest.mark.parametrize("e01, e10", [(200, 200), (200, 120)])
-def test_delta_tail_keeps_z1_where_only_w01_w10_underflows(e01, e10):
-    # max(w) = 1, so scaling cannot lift w01*w10 (0.0 or subnormal) back into range
-    rep = ea.delta_tail_bound(ea.WMatrix(1, F(1, 10**e01), F(1, 10**e10), 1), 3)
-    assert math.isclose(rep.extras["z1"], 10.0 ** -((e01 + e10) // 2), rel_tol=1e-9)
-    assert rep.extras["base"] == 2.0
+@pytest.mark.parametrize("w, z1, base", [
+    ((1, F(1, 10**200), F(1, 10**200), 1), 1e-200, 2.0),
+    ((1, F(1, 10**200), F(1, 10**120), 1), 1e-160, 2.0),
+    # subnormal weights, where 1 / w00 overflows: z1 = 1e-5 to the 4 digits 1e-320 keeps
+    ((F(1, 10**310), 1, F(1, 10**320), 1), math.sqrt(1e-320 / 1e-310), 4.0),
+])
+def test_delta_tail_keeps_z1_where_a_weight_product_underflows(w, z1, base):
+    # max(w) = 1, so scaling cannot lift a product (0.0 or subnormal) back into range
+    rep = ea.delta_tail_bound(ea.WMatrix(*w), 3)
+    assert math.isclose(rep.extras["z1"], z1, rel_tol=1e-9)
+    assert rep.extras["base"] == base
 
 
 def test_averaged_tail_reads_floats_past_int64():
