@@ -10,8 +10,11 @@ Pair {i, j} with i < j has level j: its image depends on pi(0..j) alone,
 so its row is constant on blocks of (n-1-j)! consecutive columns.  The
 scan therefore reads each selected row with stride (n-1-j)!, sums the
 rows of one level, and widens the running per-block sums to the next
-level's blocks only when a deeper level needs them.  At n = 9, 21 of the
-36 rows are read at a stride of 2 or more.
+level's blocks only when a deeper level needs them.  It ends with one
+score per block of the deepest level read; map_estimate counts on those
+blocks and only hamming_scan widens them to n!.  Putting the vertices
+with the most selected pairs first leaves few rows at the deep levels:
+scan_order relabels so where best_perm is not needed, as in noisy trials.
 
 The table is the scan's one large allocation and its one cache, so every
 scan first checks its bytes against a fixed budget (require_bytes),
@@ -93,13 +96,9 @@ def scan_fits(n: int) -> bool:
     return lift_table_bytes(n) <= SCAN_BYTE_BUDGET
 
 
-def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Hamming distance of (xa o lift(pi), xb) for every pi, in lexicographic order.
-
-    xa and xb are 0/1 pair-label vectors.  Row 0 is the identity.  Raises
-    CapExceededError before allocating when n exceeds cap or the lift
-    table would not fit in SCAN_BYTE_BUDGET.
-    """
+def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.ndarray, int]:
+    """hamming_scan's scores as (key, base): block b of n!/len(key)
+    lexicographically consecutive permutations all score base + 2 * key[b]."""
     require_cap(n, cap, "an exhaustive scan")
     require_bytes(lift_table_bytes(n), "an exhaustive scan's lift table")
     t = pair_count(n)
@@ -117,31 +116,40 @@ def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM
     # hits[b] sums the hits of the levels read so far over block b of the
     # deepest of them (one zero block before the first); levels n-2 and n-1
     # share blocks of one column.  At most t/2 <= 22 rows are summed (n <= 10
-    # under the byte budget), so uint8 holds every count.
+    # under the byte budget), so uint8 holds every count.  Entries are pair
+    # indices, so take skips its bounds checks (mode="clip").
     xa8 = xa.astype(np.uint8)
-    level = np.minimum(pair_array(n)[1][cols], n - 2)
+    rows = {}
+    for c, k in zip(cols.tolist(), np.minimum(pair_array(n)[1][cols], n - 2).tolist()):
+        rows.setdefault(k, []).append(c)
     hits = np.zeros(1, dtype=np.uint8)
-    for k in np.unique(level):
-        stride = factorial(n - 1 - int(k))
-        first, *rest = cols[level == k]
-        part = np.take(xa8, lifted[first, ::stride])
+    for k in sorted(rows):
+        stride = factorial(n - 1 - k)
+        first, *rest = rows[k]
+        part = np.take(xa8, lifted[first, ::stride], mode="clip")
         for c in rest:
-            part += np.take(xa8, lifted[c, ::stride])
+            part += np.take(xa8, lifted[c, ::stride], mode="clip")
         if len(hits) > 1:  # widen the sums of the levels above to this level's blocks
             part += np.repeat(hits, len(part) // len(hits))
         hits = part
-    if len(hits) < lifted.shape[1]:
-        hits = np.repeat(hits, lifted.shape[1] // len(hits))
-    # ea + eb - 2 * mu11, where mu11 is hits when direct, else ea - hits;
-    # computed in place, since fresh n!-long temporaries cost more than the sum
-    out = hits.astype(np.int32)
+    # the score is ea + eb - 2 * mu11, where mu11 is hits when direct, else
+    # ea - hits; a key of 255 - hits when direct keeps it rising with the score
     if direct:
-        out *= -2
-        out += ea + eb
-    else:
-        out *= 2
-        out += eb - ea
-    return out
+        return np.invert(hits, out=hits), ea + eb - 510
+    return hits, eb - ea
+
+
+def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """Hamming distance of (xa o lift(pi), xb) for every pi, in lexicographic order.
+
+    xa and xb are 0/1 pair-label vectors.  Row 0 is the identity.  Raises
+    CapExceededError before allocating when n exceeds cap or the lift
+    table would not fit in SCAN_BYTE_BUDGET.
+    """
+    key, base = _block_keys(xa, xb, n, cap)
+    scores = np.multiply(key, 2, dtype=np.int32)  # one n!-long array at most, added in place
+    scores += base
+    return np.repeat(scores, factorial(n) // len(scores)) if len(scores) < factorial(n) else scores
 
 
 @dataclass(frozen=True)
@@ -178,32 +186,64 @@ def map_estimate(
     """
     if gc.n != gb.n:
         raise ParameterError(f"vertex counts differ: {gc.n} vs {gb.n}")
-    deltas = hamming_scan(gc.bits, gb.bits, gc.n, cap=cap)
-    best_idx = int(np.argmin(deltas))  # first minimizer in lexicographic order
-    dmin = int(deltas[best_idx])
-    ties = int(np.count_nonzero(deltas == dmin))
-    best = Permutation(lex_unrank(best_idx, gc.n))
+    n = gc.n
+    key, base = _block_keys(gc.bits, gb.bits, n, cap)
+    block = factorial(n) // len(key)
+    best_idx = int(np.argmin(key))  # first minimizer in lexicographic order
+    dmin = base + 2 * int(key[best_idx])
+    ties = block * int(np.count_nonzero(key == key[best_idx]))
+    best = Permutation(lex_unrank(best_idx * block, n))
     if planted is None:
         return AlignmentResult(best, dmin, ties, ties, False, Fraction(0), None)
-    if planted.n != gc.n:
+    if planted.n != n:
         raise ParameterError("planted permutation does not match n")
-    planted_idx = lex_rank(planted.images)
-    score = int(deltas[planted_idx])
-    q_size = int(np.count_nonzero(deltas <= score))
+    planted_key = key[lex_rank(planted.images) // block]
+    score = base + 2 * int(planted_key)
+    q_size = block * int(np.count_nonzero(key <= planted_key))
     strict = score == dmin and ties == 1
-    if len(deltas) == 1:
-        gap = 0
-    else:
-        # the best score among the other permutations
-        min_other = int(np.delete(deltas, planted_idx).min()) if strict else dmin
-        gap = (min_other - score) // 2
+    # the best score among the other permutations; a unique minimizer has a block of one
+    min_other = base + 2 * int(np.partition(key, 1)[1]) if strict and len(key) > 1 else dmin
     eta = Fraction(1, q_size) if score == dmin else Fraction(0)
-    return AlignmentResult(best, dmin, ties, q_size, strict, eta, gap)
+    return AlignmentResult(best, dmin, ties, q_size, strict, eta, (min_other - score) // 2)
+
+
+def scan_order(ga: Graph, gb: Graph) -> tuple[Graph, Graph, Permutation]:
+    """Arguments (gc, gr, planted) of map_estimate whose statistics, all
+    but best_perm, are those of map_estimate(ga, gb, identity).
+
+    Relabelling gb by sigma^-1 moves the score of pi to pi sigma, and the
+    planted identity to sigma; swapping ga and gb moves it to pi^-1.  gr
+    is gb or ga, whichever reads fewer entries once the vertices with the
+    most pairs the scan reads come first (a stable sort).
+    """
+    if ga.n != gb.n:
+        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
+    n, t = ga.n, len(ga.bits)
+    pairs = list(zip(*(ends.tolist() for ends in pair_array(n))))
+    sides = []
+    for g in (gb, ga):
+        bits = g.bits.tolist()
+        flip = 2 * sum(bits) > t
+        nbrs = [0] * n  # bit w of nbrs[v]: the scan reads pair {v, w}
+        for (i, j), b in zip(pairs, bits):
+            if b != flip:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+        order = sorted(range(n), key=lambda v: -nbrs[v].bit_count())
+        cost, placed = 0, 0  # a row whose later vertex is at position p holds n!/(n-1-p)!
+        for p, v in enumerate(order):
+            cost += (nbrs[v] & placed).bit_count() * factorial(n) // factorial(n - 1 - p)
+            placed |= 1 << v
+        sides.append((cost, g, order, nbrs, flip))
+    _, ref, order, nbrs, flip = min(sides, key=lambda side: side[0])  # gb on a tie
+    # anonymize(ref, planted^-1): pair {p, q} of gr is pair {order[p], order[q]} of ref
+    gr = Graph(n, [(nbrs[order[i]] >> order[j] & 1) ^ flip for i, j in pairs])
+    return (ga if ref is gb else gb), gr, Permutation(tuple(order))
 
 
 def q_set_size(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of permutations aligning ga to gb at least as well as the identity."""
-    return map_estimate(ga, gb, planted=Permutation.identity(ga.n), cap=cap).q_size
+    return map_estimate(*scan_order(ga, gb), cap=cap).q_size
 
 
 #: bytes per (survivor, vertex) entry of a runner-up search level: np.nonzero's

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import genfunc
 from .errors import ConfigError, ParameterError
-from .estimator import automorphism_count, map_estimate, runner_up_distance, scan_fits
+from .estimator import automorphism_count, map_estimate, runner_up_distance, scan_fits, scan_order
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -37,7 +37,7 @@ from .genfunc import (
 from .model import (
     Graph, PVec, SubsamplingParams, count, intersection, real, sample_bits, subsampling_to_pvec,
 )
-from .perms import DEFAULT_ENUM_CAP, Permutation, require_cap
+from .perms import DEFAULT_ENUM_CAP, require_cap
 
 CSV_COLUMNS = ("n", "p11", "p10", "p01", "p00", "trials", "strict_rate", "mean_eta", "mean_q",
                "mean_aut", "seed")
@@ -227,7 +227,7 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     |Q| = |Aut(gb)|, which automorphism_count finds by refinement.  The gap
     is 0 unless gb is rigid; then it is half of runner_up_distance(gb),
     found where the scan would fit and None past it.  Noisy pairs are
-    scanned, so past the scan's byte budget they raise CapExceededError.
+    scanned in scan_order, so past the scan's byte budget they raise CapExceededError.
     """
     t0 = time.perf_counter()
     require_cap(n, cap, "a trial")
@@ -244,7 +244,7 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
         q_size, strict, eta, gw = aut, aut == 1, Fraction(1, aut), gb
     else:
         ga = Graph(n, ga_bits)
-        res = map_estimate(ga, gb, planted=Permutation.identity(n), cap=cap)
+        res = map_estimate(*scan_order(ga, gb), cap=cap)
         gw = intersection(ga, gb)
         aut = automorphism_count(gw, cap=cap)
         q_size, strict, eta, gap = res.q_size, res.strict_success, res.eta, res.min_delta_nonid

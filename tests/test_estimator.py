@@ -10,6 +10,8 @@ from math import factorial, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eralign as ea
 from eralign import estimator
@@ -323,6 +325,176 @@ def test_map_strict_implies_unique_and_planted():
         if res.strict_success:
             assert res.q_size == 1
             assert res.best_perm == pi
+
+
+# ---------------------------------------------------------------------------
+# map_estimate's block statistics against the n!-long scan
+
+
+def scan_statistics(gc, gb, planted=None):
+    """Oracle: map_estimate's AlignmentResult, read off hamming_scan's n! scores."""
+    deltas = ea.hamming_scan(gc.bits, gb.bits, gc.n)
+    best_idx = int(np.argmin(deltas))
+    dmin = int(deltas[best_idx])
+    ties = int(np.count_nonzero(deltas == dmin))
+    best = ea.Permutation(ea.perms.lex_unrank(best_idx, gc.n))
+    if planted is None:
+        return ea.AlignmentResult(best, dmin, ties, ties, False, F(0), None)
+    planted_idx = ea.perms.lex_rank(planted.images)
+    score = int(deltas[planted_idx])
+    q_size = int(np.count_nonzero(deltas <= score))
+    strict = score == dmin and ties == 1
+    if len(deltas) == 1:
+        gap = 0
+    else:
+        min_other = int(np.delete(deltas, planted_idx).min()) if strict else dmin
+        gap = (min_other - score) // 2
+    eta = F(1, q_size) if score == dmin else F(0)
+    return ea.AlignmentResult(best, dmin, ties, q_size, strict, eta, gap)
+
+
+def assert_block_statistics(gc, gb, planted, seen):
+    """map_estimate equals the oracle; seen counts scans ending on blocks
+    longer than one and strict successes."""
+    res = ea.map_estimate(gc, gb, planted)
+    assert res == scan_statistics(gc, gb, planted), (gc.bits.tolist(), gb.bits.tolist(), planted)
+    n = gc.n
+    seen["blocks"] += len(estimator._block_keys(gc.bits, gb.bits, n, n)[0]) < factorial(n)
+    seen["strict"] += res.strict_success
+
+
+def test_block_statistics_on_every_pair_up_to_n4():
+    rng = rng_from_seed(4404)
+    seen = {"blocks": 0, "strict": 0}
+    for n in range(1, 5):
+        graphs = [ea.Graph(n, bits) for bits in all_labelings(n)]
+        for gc in graphs:
+            for gb in graphs:
+                for planted in (None, ea.Permutation.identity(n), ea.Permutation.random(n, rng)):
+                    assert_block_statistics(gc, gb, planted, seen)
+    assert seen["blocks"] > 0
+
+
+def test_block_statistics_on_every_reference_at_n5():
+    rng = rng_from_seed(5505)
+    fixed = [ea.Graph.empty(5), ea.Graph.complete(5), PATH5]
+    fixed += [random_graph(5, rng, density) for density in (0.2, 0.5, 0.8)]
+    seen = {"blocks": 0, "strict": 0}
+    for bits in all_labelings(5):
+        gb = ea.Graph(5, bits)
+        for gc in fixed:
+            for planted in (None, ea.Permutation.random(5, rng)):
+                assert_block_statistics(gc, gb, planted, seen)
+    assert seen["blocks"] > 0
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_block_statistics_on_sampled_pairs(n):
+    # identical, independent and 10 %-perturbed pairs, with a random planted
+    # permutation, the identity, or none; blocks longer than one come from
+    # sparse references, strict successes from rigid identical pairs
+    rng = rng_from_seed(6600 + n)
+    seen = {"blocks": 0, "strict": 0}
+    for density in (0.1, 0.3, 0.5, 0.9):
+        for _ in range(4 if n == 9 else 8):
+            ga = random_graph(n, rng, density)
+            others = (ga, random_graph(n, rng, density),
+                      ea.Graph(n, ga.bits ^ (rng.random(len(ga.bits)) < 0.1)))
+            for gb in others:
+                for planted in (None, ea.Permutation.identity(n), ea.Permutation.random(n, rng)):
+                    assert_block_statistics(ga, gb, planted, seen)
+    assert seen["blocks"] > 0 and seen["strict"] > 0
+
+
+def test_block_statistics_at_a_block_of_one_with_strict_success():
+    identity = ea.Permutation.identity(6)
+    for gb in (RIGID6, ea.Graph(6, 1 - RIGID6.bits)):
+        assert len(estimator._block_keys(gb.bits, gb.bits, 6, 6)[0]) == factorial(6)
+        res = ea.map_estimate(gb, gb, identity)
+        assert res == scan_statistics(gb, gb, identity)
+        assert res.strict_success and res.min_delta_nonid > 0
+
+
+def test_block_statistics_on_an_empty_reference():
+    # no row is read: one block of n! permutations, all scoring the edges of gc
+    for n in (1, 2, 5):
+        gc = ea.Graph.complete(n)
+        assert len(estimator._block_keys(gc.bits, ea.Graph.empty(n).bits, n, n)[0]) == 1
+        for planted in (None, ea.Permutation.identity(n)):
+            res = ea.map_estimate(gc, ea.Graph.empty(n), planted)
+            assert res == scan_statistics(gc, ea.Graph.empty(n), planted)
+            assert res.tie_count == factorial(n)
+
+
+def test_map_refuses_before_building_the_table(monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"lift table built for n={n}")
+
+    monkeypatch.setattr(estimator, "_lift_table", no_build)
+    g = ea.Graph.empty(9)
+    with pytest.raises(CapExceededError, match="cap 8"):
+        ea.map_estimate(g, g, cap=8)
+    with pytest.raises(CapExceededError, match="cap 8"):
+        ea.q_set_size(g, g, cap=8)
+
+
+# ---------------------------------------------------------------------------
+# scan_order
+
+
+def test_scan_order_relabels_one_graph_of_the_pair():
+    rng = rng_from_seed(7117)
+    sides = set()
+    for n in (1, 2, 5, 9, 30):
+        for density in (0.1, 0.5, 0.9):
+            ga, gb = random_graph(n, rng, density), random_graph(n, rng, 1 - density)
+            gc, gr, planted = estimator.scan_order(ga, gb)
+            assert gc is ga or gc is gb
+            reference = gb if gc is ga else ga
+            sides.add(gc is ga)
+            assert gr == ea.anonymize(reference, planted.inverse())
+    assert sides == {True, False}
+    with pytest.raises(ParameterError):
+        estimator.scan_order(ea.Graph.empty(4), ea.Graph.empty(5))
+
+
+def test_scan_order_reads_fewer_entries_on_the_noisy_grid():
+    # the degree order is a heuristic that can lose to the natural order on
+    # one graph, so the bound is on a fixed sample, where it reads 0.45 of
+    # the natural order's entries
+    def entries(gr):
+        n = gr.n
+        cols = np.flatnonzero(gr.bits if 2 * gr.edge_count <= len(gr.bits) else gr.bits == 0)
+        level = ea.model.pair_array(n)[1][cols]
+        return sum(factorial(n) // factorial(max(n - 1 - int(j), 1)) for j in level)
+
+    natural = ordered = 0
+    for cell in CGrid((0.25, 0.5, 1, 2, 3), 0.05).cells(8):
+        for seed in range(60):
+            pair = ea.sample_pair(8, cell.p, seed)
+            natural += entries(pair.gb)
+            ordered += entries(estimator.scan_order(pair.ga, pair.gb)[1])
+    assert ordered <= natural // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.booleans(), min_size=ea.pair_count(n), max_size=ea.pair_count(n)),
+    st.lists(st.booleans(), min_size=ea.pair_count(n), max_size=ea.pair_count(n)),
+    st.permutations(range(n)))))
+def test_relabelled_and_swapped_scans_keep_the_planted_statistics(case):
+    n, a, b, images = case
+    ga, gb = ea.Graph(n, a), ea.Graph(n, b)
+    sigma = ea.Permutation(tuple(images))
+
+    def planted_stats(res):
+        return res.q_size, res.strict_success, res.eta, res.min_delta_nonid
+
+    want = planted_stats(ea.map_estimate(ga, gb, planted=ea.Permutation.identity(n)))
+    assert planted_stats(ea.map_estimate(ga, ea.anonymize(gb, sigma.inverse()), planted=sigma)) == want
+    assert planted_stats(ea.map_estimate(gb, ga, planted=ea.Permutation.identity(n))) == want
+    assert planted_stats(ea.map_estimate(*estimator.scan_order(ga, gb))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,35 @@ def test_trial_noiseless_past_the_scan(monkeypatch):
         run_trial(n, ea.PVec(0.4, 0.1, 0.1, 0.4), seed=0, cap=n)
 
 
+def natural_order_trial(n, p, seed, cell_id):
+    """Oracle: run_trial's fields, with the pair scanned as sampled and wall_time 0."""
+    pair = ea.sample_pair(n, p, seed)
+    res = ea.map_estimate(pair.ga, pair.gb, planted=ea.Permutation.identity(n))
+    gw = ea.intersection(pair.ga, pair.gb)
+    return ea.TrialResult(cell_id, seed, res.strict_success, res.q_size, res.eta,
+                          res.min_delta_nonid, gw.edge_count, ea.automorphism_count(gw), 0.0)
+
+
+@pytest.mark.parametrize("n, seeds", [(6, 40), (7, 40), (8, 30), (9, 12), (10, 1)])
+def test_noisy_trials_equal_the_natural_order_scan(n, seeds):
+    # the noise-0.05 and noise-0.02 grids; the swapped order (ga the
+    # reference) and the natural one (gb) both occur at every n
+    cells = [cell for grid in (CGrid((0.25, 0.5, 1, 2, 3), 0.05), CGrid((0.5, 1, 2), 0.02))
+             for cell in grid.cells(n)]
+    sides, noisy = set(), 0
+    for cell in cells:
+        for seed in range(9000, 9000 + seeds):
+            pair = ea.sample_pair(n, cell.p, seed)
+            if pair.ga == pair.gb:
+                continue
+            noisy += 1
+            tr = run_trial(n, cell.p, seed, cell_id=cell.cell_id)
+            assert replace(tr, wall_time=0.0) == natural_order_trial(n, cell.p, seed, cell.cell_id)
+            sides.add(estimator.scan_order(pair.ga, pair.gb)[0] is pair.ga)
+    assert noisy >= len(cells) * seeds // 2
+    assert sides == {True, False}
+
+
 def test_trial_eta_bounds():
     p = ea.PVec(0.4, 0.05, 0.05, 0.5)
     for seed in range(15):
