@@ -24,7 +24,8 @@ import numpy as np
 
 from . import genfunc
 from .errors import ConfigError, ParameterError
-from .estimator import automorphism_count, map_estimate, runner_up_distance, scan_fits, scan_order
+from .estimator import (automorphism_count, map_estimate, runner_up_distance, scan_fits, scan_order,
+                        unit_fraction)
 from .genfunc import (
     WMatrix,
     bin_pgf,
@@ -224,10 +225,12 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
 
     An identical pair (every noiseless trial) is scored without a scan: the
     planted alignment scores 0, so Q is the coset of Aut(gb) through it and
-    |Q| = |Aut(gb)|, which automorphism_count finds by refinement.  The gap
-    is 0 unless gb is rigid; then it is half of runner_up_distance(gb),
-    found where the scan would fit and None past it.  Noisy pairs are
-    scanned in scan_order, so past the scan's byte budget they raise CapExceededError.
+    |Q| = |Aut(gb)|, which automorphism_count finds by a rigidity
+    certificate or by refinement.  The gap is 0 unless gb is rigid; then
+    it is half of runner_up_distance(gb), found where the scan would fit
+    and None past it, and that search is handed |Aut(gb)| = 1, so gb is
+    refined once per trial.  Noisy pairs are scanned in scan_order, so
+    past the scan's byte budget they raise CapExceededError.
     """
     t0 = time.perf_counter()
     require_cap(n, cap, "a trial")
@@ -240,8 +243,8 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
         elif aut > 1 or n == 1:
             gap = 0
         else:
-            gap = runner_up_distance(gb) // 2
-        q_size, strict, eta, gw = aut, aut == 1, Fraction(1, aut), gb
+            gap = runner_up_distance(gb, aut=aut) // 2
+        q_size, strict, eta, gw = aut, aut == 1, unit_fraction(aut), gb
     else:
         ga = Graph(n, ga_bits)
         res = map_estimate(*scan_order(ga, gb), cap=cap)

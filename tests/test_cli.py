@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 from unittest import mock
@@ -145,6 +146,17 @@ def test_sweep_cap_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg_file), "--cap", "16")
     assert code == 0
     assert out == want.csv_text
+
+
+def test_sweep_past_the_certificate_crossover_keeps_its_bytes(tmp_path, capsys):
+    # n = 24 trials count most rigid graphs by the walk-hash certificate; the
+    # CSV hash was taken before the certificate existed
+    out_csv = tmp_path / "n24.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--n", "24", "--cap", "24", "--trials", "40",
+                         "--c-grid", "0.5,1,2,4", "--seed", "20250809", "--out", str(out_csv))
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "10e7c6ffddc8d7ac7c11508161816b3d0a2ca4fd1245e34f4e26cb80545f0302")
 
 
 def test_threshold_sweep_reports_errors(tmp_path, capsys):

@@ -763,6 +763,23 @@ def test_trial_gap_equals_the_scan_gap_on_the_readme_grid_at_n9():
     assert rigid >= 50  # each of these trials ran the runner-up search
 
 
+def test_a_rigid_trial_at_a_transposition_bound_of_2_refines_once(monkeypatch):
+    n, seed = 9, 20250809
+    cell = CGrid((2.0,)).cells(n)[0]
+    gb = ea.sample_pair(n, cell.p, seed).gb
+    assert best_transposition(gb) == 2 and scan_aut(gb) == 1
+    calls, refine = [], estimator.refinement_aut_count
+
+    def counted(g):
+        calls.append(g)
+        return refine(g)
+
+    monkeypatch.setattr(estimator, "refinement_aut_count", counted)
+    tr = ea.run_trial(n, cell.p, seed)
+    assert tr.strict_success and tr.min_delta_nonid == 1
+    assert calls == [gb]
+
+
 def cycles(*lengths):
     edges, start = [], 0
     for length in lengths:
@@ -821,6 +838,74 @@ def test_automorphism_count_past_the_scan():
         assert ea.automorphism_count(comp, cap=n) == factorial(k)
     with pytest.raises(CapExceededError, match="cap 15"):
         ea.automorphism_count(ea.Graph.empty(16), cap=15)
+
+
+# ---------------------------------------------------------------------------
+# the walk-hash rigidity certificate
+
+def test_every_certified_small_graph_is_rigid():
+    # the certificate called directly, below the n at which refinement_aut_count
+    # tries it; at n = 6 it certifies exactly the 8 * 6! asymmetric labellings
+    certified = {n: 0 for n in range(1, 7)}
+    for n in range(1, 7):
+        t = ea.pair_count(n)
+        for x in ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8):
+            if estimator._certifies_rigid(ea.Graph(n, x)):
+                assert scan_aut(ea.Graph(n, x)) == 1, (n, x)
+                certified[n] += 1
+    assert certified == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 8 * factorial(6)}
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 48])
+def test_certified_counts_equal_the_refinement_counts(n, monkeypatch):
+    rng = rng_from_seed(7700 + n)
+    cs = [c for c in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0) if c * log(n) / n <= 1]
+    graphs = [random_graph(n, rng, density=c * log(n) / n) for c in cs for _ in range(25)]
+    certified = [estimator._certifies_rigid(g) for g in graphs]
+    got = [ea.refinement_aut_count(g) for g in graphs]
+    monkeypatch.setattr(estimator, "_certifies_rigid", lambda g: False)
+    want = [ea.refinement_aut_count(g) for g in graphs]
+    assert got == want
+    # every sampled rigid graph here is certified, and only rigid ones are
+    assert certified == [w == 1 for w in want]
+    assert sum(certified) >= 2 * 25
+
+
+FRUCHT = ea.Graph.from_edges(
+    12,
+    [(0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4), (3, 9),
+     (4, 5), (4, 9), (5, 6), (5, 10), (6, 10), (7, 11), (8, 9), (8, 11), (10, 11)],
+)
+PETERSEN = ea.Graph.from_edges(
+    10,
+    [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8),
+     (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)],
+)
+
+
+def test_regular_graphs_fall_back_to_refinement():
+    # a regular graph's walk hash is constant, so even the rigid Frucht graph
+    # and its complement are counted by refinement
+    frucht_complement = ea.Graph(12, 1 - FRUCHT.bits)
+    for g, want in ((FRUCHT, 1), (frucht_complement, 1), (PETERSEN, 120)):
+        assert g.n >= estimator.CERTIFY_MIN_N
+        assert estimator._walk_hash(g)[1] == 1 and not estimator._certifies_rigid(g)
+        assert ea.refinement_aut_count(g) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=ea.pair_count(n), max_size=ea.pair_count(n)),
+    st.permutations(range(n)))))
+def test_relabelling_permutes_the_walk_hash(case):
+    bits, images = case
+    g = ea.Graph(len(images), np.array(bits, dtype=np.uint8))
+    h, distinct = estimator._walk_hash(g)
+    h_relabelled, distinct_relabelled = estimator._walk_hash(ea.anonymize(g, images))
+    # vertex v of g is vertex images[v] of the relabelled graph, so the
+    # multiset of hash values is unchanged
+    assert np.array_equal(h_relabelled[list(images)], h)
+    assert distinct_relabelled == distinct == len(set(h.tolist()))
 
 
 def test_scan_byte_guard(monkeypatch):

@@ -207,6 +207,15 @@ def test_trial_eta_bounds():
         assert tr.strict_success == (tr.q_size == 1 and tr.eta == 1)
 
 
+@pytest.mark.parametrize("n, noise", [(16, 0.0), (8, 0.05)])
+def test_held_trials_share_one_eta_per_value(n, noise):
+    # a sweep holds every trial, so equal etas are one Fraction object
+    res = run_sweep(SweepConfig(n=n, trials=30, seed=20250809, grid=CGrid((0.5, 1, 2), noise),
+                                cap=n))
+    etas = [tr.eta for row in res.trial_results for tr in row]
+    assert len({id(eta) for eta in etas}) == len(set(etas)) < len(etas)
+
+
 # ---------------------------------------------------------------------------
 # run_sweep
 
