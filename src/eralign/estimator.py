@@ -25,14 +25,13 @@ classes (equal open or closed neighbourhoods) are collapsed first, over
 as many passes as collapse something, so |Aut| = prod |C|! * |Aut| of the
 coloured quotient; that quotient's group is counted by colour refinement
 and individualization (McKay & Piperno, "Practical graph isomorphism,
-II", 2014).  From n = CERTIFY_MIN_N on, an exact integer walk hash comes
-first: a vertex hash that every automorphism preserves, so if it takes n
-distinct values the group is trivial and nothing is refined.  Above the
-threshold most sampled graphs are rigid (Erdos & Renyi, "Asymmetric
-graphs", 1963) and end there.  A graph's runner-up score, the
-second-smallest of the scan of (g, g), is set by parity where the best
-transposition scores 2, else by a search pruned one below that score.
-The scan is the oracle of both.
+II", 2014).  At every n an exact integer walk hash comes first: a vertex
+hash that every automorphism preserves, so if it takes n distinct values
+the group is trivial and nothing is refined.  Above the threshold most
+sampled graphs are rigid (Erdos & Renyi, "Asymmetric graphs", 1963) and
+end there.  A graph's runner-up score, the second-smallest of the scan of
+(g, g), is set by parity where the best transposition scores 2, else by a
+search pruned one below that score.  The scan is the oracle of both.
 """
 
 from __future__ import annotations
@@ -297,11 +296,8 @@ def runner_up_distance(g: Graph, aut: int | None = None) -> int:
     adj[ii, jj] = adj[jj, ii] = g.bits
     verts = np.arange(n, dtype=np.uint16)
     rows = adj @ (1 << verts)
-    pop = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        pop[1 << b : 2 << b] = pop[: 1 << b] + 1
     # transposition (a b): each w off {a, b} with adj[a, w] != adj[b, w] moves two pairs
-    bound = int(2 * (pop[rows[ii] ^ rows[jj]] - 2 * adj[ii, jj]).min())
+    bound = int(2 * (np.bitwise_count(rows[ii] ^ rows[jj]) - 2 * g.bits).min())
     if bound <= 2:
         return bound if (refinement_aut_count(g) if aut is None else aut) == 1 else 0
     nbr = np.zeros((1, n), dtype=np.uint16)  # bit i of nbr[k, w]: prefix k maps i next to w
@@ -309,7 +305,7 @@ def runner_up_distance(g: Graph, aut: int | None = None) -> int:
     used = np.zeros(1, dtype=np.uint16)
     ident = np.ones(1, dtype=bool)
     for j in range(n):
-        cost = dist[:, None] + pop[nbr ^ (rows[j] & ((1 << j) - 1))]
+        cost = dist[:, None] + np.bitwise_count(nbr ^ (rows[j] & ((1 << j) - 1)))
         free = ((used[:, None] >> verts) & 1) == 0
         k, v = np.nonzero(free & (cost < bound - 1))
         require_bytes(k.size * n * _SEARCH_ENTRY_BYTES, "a runner-up search")
@@ -411,8 +407,6 @@ def _twin_quotient(g: Graph):
             len(set(qcol)), factor)
 
 
-#: refinement_aut_count tries the walk-hash certificate from this n on
-CERTIFY_MIN_N = 10
 #: the walk hash's odd multiplier (golden ratio, 64 bits), shift and round factor (FNV prime)
 _MIX, _SHIFT, _ROUND = np.uint64(0x9E3779B97F4A7C15), np.uint64(29), np.uint64(0x100000001B3)
 
@@ -455,23 +449,23 @@ def _walk_hash(g: Graph) -> tuple[np.ndarray, int]:
 def _certifies_rigid(g: Graph) -> bool:
     """True when the walk hash takes n distinct values, so only the identity
     preserves it and g is rigid; False is undecided.  A hash collision can
-    only give False.  Fewer than (n - 1) / 2 edges or non-edges leave two
-    isolated or two universal vertices, so those graphs are not hashed."""
-    n, m = g.n, int(np.count_nonzero(g.bits))
-    if 2 * m < n - 1 or 2 * (len(g.bits) - m) < n - 1:
-        return False
-    return _walk_hash(g)[1] == n
+    only give False.  A graph with fewer than (n - 1) / 2 edges or
+    non-edges has two isolated or two universal vertices, so the walk hash
+    stops at h_0 and such a graph costs only its adjacency matrix."""
+    return _walk_hash(g)[1] == g.n
 
 
 def refinement_aut_count(g: Graph) -> int:
     """Size of the automorphism group, exactly, without an n! table.
 
-    From n = CERTIFY_MIN_N on, a graph that _certifies_rigid counts 1 at
-    once; on sampled graphs at n = 12-48 that was every rigid one.  Every
-    other graph takes the path below.  On the README grid, interleaved per
-    trial in one process on a 2-vCPU VM, the certificate made run_trial
-    1.02x as fast at n = 9 (within the spread), 1.05x at 10, 1.10x at 11,
-    1.15x at 12 and 1.45x at 16, so the crossover lies at n = 9-10.
+    A graph that _certifies_rigid counts 1 at once, at every n; on sampled
+    graphs at n = 12-48 that was every rigid one.  Every other graph takes
+    the path below.  Trying the certificate at every n, timed against
+    trying it from n = 10 on with an edge-count gate (run_trial interleaved
+    per trial in one process, 2-vCPU VM), made the noiseless README grid
+    1.02x as fast at n = 9, left n = 10 and 16 within 0.99-1.00x, and cost
+    the noisy n = 8 grid 0.98x: sparse cells pay for a hash that twins keep
+    from separating.
 
     The twin classes are collapsed first (_twin_quotient): |Aut(g)| is the
     product of |C|! over the collapsed classes C times |Aut| of the
@@ -488,7 +482,7 @@ def refinement_aut_count(g: Graph) -> int:
     own, at a cost that grows with the square of the twin count on sparse
     graphs.
     """
-    if g.n >= CERTIFY_MIN_N and _certifies_rigid(g):
+    if _certifies_rigid(g):
         return 1
     nbrs, col0, ncol0, order = _twin_quotient(g)
     n = len(nbrs)

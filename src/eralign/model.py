@@ -248,11 +248,8 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         ii, jj = pair_array(self.n)
-        on = self.bits.astype(np.int64)
-        deg = np.bincount(ii, weights=on, minlength=self.n) + np.bincount(
-            jj, weights=on, minlength=self.n
-        )
-        return deg.astype(np.int64)
+        on = np.flatnonzero(self.bits)
+        return np.bincount(np.concatenate((ii[on], jj[on])), minlength=self.n)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":

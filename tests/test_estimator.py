@@ -844,8 +844,8 @@ def test_automorphism_count_past_the_scan():
 # the walk-hash rigidity certificate
 
 def test_every_certified_small_graph_is_rigid():
-    # the certificate called directly, below the n at which refinement_aut_count
-    # tries it; at n = 6 it certifies exactly the 8 * 6! asymmetric labellings
+    # the certificate called directly; at n = 6 it certifies exactly the
+    # 8 * 6! asymmetric labellings
     certified = {n: 0 for n in range(1, 7)}
     for n in range(1, 7):
         t = ea.pair_count(n)
@@ -854,6 +854,27 @@ def test_every_certified_small_graph_is_rigid():
                 assert scan_aut(ea.Graph(n, x)) == 1, (n, x)
                 certified[n] += 1
     assert certified == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 8 * factorial(6)}
+
+
+def test_certified_small_graphs_count_1_without_refinement(monkeypatch):
+    # the certificate runs at every n, so a certified graph never reaches the
+    # twin quotient: every relabelling of RIGID6 and sampled rigid graphs
+    graphs = [ea.anonymize(RIGID6, pi) for pi in ea.enumerate_perms(6)]
+    rng = rng_from_seed(7600)
+    for n in (7, 8, 9):
+        sampled = [random_graph(n, rng) for _ in range(40)]
+        certified = [g for g in sampled if estimator._certifies_rigid(g)]
+        assert len(certified) >= 10, n
+        graphs += certified
+    assert all(estimator._certifies_rigid(g) and scan_aut(g) == 1 for g in graphs)
+
+    def no_quotient(g):
+        raise AssertionError(f"refined a certified graph at n = {g.n}")
+
+    monkeypatch.setattr(estimator, "_twin_quotient", no_quotient)
+    for g in graphs:
+        assert ea.refinement_aut_count(g) == 1
+        assert ea.automorphism_count(g) == 1
 
 
 @pytest.mark.parametrize("n", [12, 16, 24, 32, 48])
@@ -888,7 +909,6 @@ def test_regular_graphs_fall_back_to_refinement():
     # and its complement are counted by refinement
     frucht_complement = ea.Graph(12, 1 - FRUCHT.bits)
     for g, want in ((FRUCHT, 1), (frucht_complement, 1), (PETERSEN, 120)):
-        assert g.n >= estimator.CERTIFY_MIN_N
         assert estimator._walk_hash(g)[1] == 1 and not estimator._certifies_rigid(g)
         assert ea.refinement_aut_count(g) == want
 

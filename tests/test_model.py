@@ -133,6 +133,20 @@ def test_graph_validation():
         g.n = 5
 
 
+def test_degrees_count_edges_in_integers():
+    for n in range(1, 6):
+        t = ea.pair_count(n)
+        for mask in range(1 << t):
+            g = ea.Graph(n, [(mask >> k) & 1 for k in range(t)])
+            want = [0] * n
+            for i, j in g.edge_list():
+                want[i] += 1
+                want[j] += 1
+            deg = g.degrees()
+            assert np.issubdtype(deg.dtype, np.integer), deg.dtype
+            assert deg.tolist() == want, (n, mask)
+
+
 # ---------------------------------------------------------------------------
 # sample_pair
 
