@@ -29,9 +29,10 @@ II", 2014).  At every n an exact integer walk hash comes first: a vertex
 hash that every automorphism preserves, so if it takes n distinct values
 the group is trivial and nothing is refined.  Above the threshold most
 sampled graphs are rigid (Erdos & Renyi, "Asymmetric graphs", 1963) and
-end there.  A graph's runner-up score, the second-smallest of the scan of
-(g, g), is set by parity where the best transposition scores 2, else by a
-search pruned one below that score.  The scan is the oracle of both.
+end there; any other graph's hash seeds the quotient's colouring.  A
+graph's runner-up score, the second-smallest of the scan of (g, g), is set
+by parity where the best transposition scores 2, else by a search pruned
+one below that score.  The scan is the oracle of both.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def scan_order(ga: Graph, gb: Graph) -> tuple[Graph, Graph, Permutation]:
         sides.append((cost, g, order, nbrs, flip))
     _, ref, order, nbrs, flip = min(sides, key=lambda side: side[0])  # gb on a tie
     # anonymize(ref, planted^-1): pair {p, q} of gr is pair {order[p], order[q]} of ref
-    gr = Graph(n, [(nbrs[order[i]] >> order[j] & 1) ^ flip for i, j in pairs])
+    gr = Graph(n, np.uint8([(nbrs[order[i]] >> order[j] & 1) ^ flip for i, j in pairs]))
     return (ga if ref is gb else gb), gr, Permutation(tuple(order))
 
 
@@ -352,19 +353,20 @@ def _first_nonsingleton(col, ncol) -> int:
     return next(c for c, size in enumerate(sizes) if size > 1)
 
 
-def _twin_quotient(g: Graph):
+def _twin_quotient(g: Graph, h: list):
     """g with its twin classes collapsed: (nbrs, colouring, colour count, factor).
 
-    Vertices u, v of one colour are false twins when N(u) = N(v) and true
-    twins when N[u] = N[v].  Each relation is an equivalence, no vertex has
-    twins of both kinds, and swapping two twins is an automorphism.  Each
-    class C of two or more keeps one representative, coloured by (its
-    colour, kind, |C|), and factor gains |C|!.  The within-class symmetric
-    groups form a normal subgroup of Aut, and every automorphism of the
-    coloured quotient lifts, so |Aut(g)| = factor * |Aut(quotient)|.  A
-    collapse can make new twins (k isolated edges become k isolated
-    vertices of one colour), so it repeats until no class collapses.
-    Without twins this is g's adjacency lists and the all-zero colouring.
+    The ranks of h, a vertex hash every automorphism preserves, colour the
+    vertices first.  Vertices u, v of one colour are false twins when
+    N(u) = N(v) and true twins when N[u] = N[v].  Each relation is an
+    equivalence, no vertex has twins of both kinds, and swapping two twins
+    is an automorphism (so twins share h).  Each class C of two or more
+    keeps one representative, coloured by (its colour, kind, |C|), and
+    factor gains |C|!.  The within-class symmetric groups form a normal
+    subgroup of Aut, and every automorphism of the coloured quotient lifts,
+    so |Aut(g)| = factor * |Aut(quotient)|.  A collapse can make new twins
+    (k isolated edges become k isolated vertices of one colour), so it
+    repeats until no class collapses.
     """
     n = g.n
     nbrs = [[] for _ in range(n)]
@@ -374,9 +376,10 @@ def _twin_quotient(g: Graph):
         nbrs[j].append(i)
         mask[i] |= 1 << j
         mask[j] |= 1 << i
-    keep, col, factor = list(range(n)), [0] * n, 1
+    rank = {x: r for r, x in enumerate(sorted(set(h)))}
+    keep, col, factor = list(range(n)), [rank[x] for x in h], 1
     alive = (1 << n) - 1
-    open_keys = mask  # a vertex's colour above its neighbour mask; all colours 0
+    open_keys = [c << n | m for c, m in zip(col, mask)]  # colour above neighbour mask
     while True:
         keys = (open_keys, [key | 1 << v for key, v in zip(open_keys, keep)])
         classes = {}
@@ -399,8 +402,6 @@ def _twin_quotient(g: Graph):
         for v in keep:
             col[v] = rank[tags[v]]
         open_keys = [col[v] << n | mask[v] & alive for v in keep]
-    if len(keep) == n:
-        return nbrs, col, 1, 1
     index = {v: k for k, v in enumerate(keep)}
     qcol = [col[v] for v in keep]
     return ([[index[w] for w in nbrs[v] if w in index] for v in keep], qcol,
@@ -423,7 +424,9 @@ def _walk_hash(g: Graph) -> tuple[np.ndarray, int]:
     could tell two automorphic vertices apart.  Rounds stop once the
     count reaches n or stops growing, or at h_0 when two vertices are
     isolated or two universal: such a pair is swapped by an automorphism
-    and can never be told apart.
+    and can never be told apart; fewer than (n - 1) / 2 edges or non-edges
+    make such a pair.  n distinct values certify g rigid, and a hash
+    collision can only leave a graph undecided, never miscount it.
     """
     n = g.n
     ii, jj = pair_array(n)
@@ -446,26 +449,17 @@ def _walk_hash(g: Graph) -> tuple[np.ndarray, int]:
     return h, distinct
 
 
-def _certifies_rigid(g: Graph) -> bool:
-    """True when the walk hash takes n distinct values, so only the identity
-    preserves it and g is rigid; False is undecided.  A hash collision can
-    only give False.  A graph with fewer than (n - 1) / 2 edges or
-    non-edges has two isolated or two universal vertices, so the walk hash
-    stops at h_0 and such a graph costs only its adjacency matrix."""
-    return _walk_hash(g)[1] == g.n
-
-
 def refinement_aut_count(g: Graph) -> int:
     """Size of the automorphism group, exactly, without an n! table.
 
-    A graph that _certifies_rigid counts 1 at once, at every n; on sampled
-    graphs at n = 12-48 that was every rigid one.  Every other graph takes
-    the path below.  Trying the certificate at every n, timed against
-    trying it from n = 10 on with an edge-count gate (run_trial interleaved
-    per trial in one process, 2-vCPU VM), made the noiseless README grid
-    1.02x as fast at n = 9, left n = 10 and 16 within 0.99-1.00x, and cost
-    the noisy n = 8 grid 0.98x: sparse cells pay for a hash that twins keep
-    from separating.
+    A graph whose _walk_hash takes n distinct values counts 1 at once, at
+    every n; on sampled graphs at n = 12-48 that was every rigid one.  Any
+    other graph's hash seeds _twin_quotient's colouring: the coloured graph
+    has the same group, and refinement starts from the hash's classes.
+    Seeding, timed against the all-zero start (run_trial on both in one
+    process, interleaved per trial, 4 passes of 300 trials per cell, 2-vCPU
+    VM), made the noiseless README grids 1.01x as fast at n = 9 and 1.03x
+    at n = 16, and left the noisy n = 8 grid at 1.00x.
 
     The twin classes are collapsed first (_twin_quotient): |Aut(g)| is the
     product of |C|! over the collapsed classes C times |Aut| of the
@@ -482,9 +476,10 @@ def refinement_aut_count(g: Graph) -> int:
     own, at a cost that grows with the square of the twin count on sparse
     graphs.
     """
-    if _certifies_rigid(g):
+    h, distinct = _walk_hash(g)
+    if distinct == g.n:
         return 1
-    nbrs, col0, ncol0, order = _twin_quotient(g)
+    nbrs, col0, ncol0, order = _twin_quotient(g, h.tolist())
     n = len(nbrs)
 
     path = [_refine(nbrs, col0, ncol0)]  # (colouring, colour count, invariant)

@@ -210,13 +210,17 @@ class Graph:
 
     def __init__(self, n: int, bits):
         n = count("n", n, 1)
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         t = pair_count(n)
         if arr.shape != (t,):
             raise ParameterError(f"expected {t} pair labels for n={n}, got shape {arr.shape}")
-        if arr.size and arr.max(initial=0) > 1:
+        if arr.dtype == np.uint8:  # every Graph a trial builds
+            bad = arr.max(initial=0) > 1
+        else:  # a cast would truncate 0.5, wrap -1 or parse "1"
+            bad = arr.dtype.kind not in "biuf" or ((arr != 0) & (arr != 1)).any()
+        if bad:
             raise ParameterError("edge labels must be 0 or 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", arr)

@@ -8,6 +8,7 @@ does the complement of the c = 4 cell also clear ln(n)/n (see README).
 Criteria 7 and 8 use the n = 9 sweep, which the n! scan covers.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -338,3 +339,22 @@ def test_criterion_8_thread_determinism(threshold_sweep, tmp_path):
     assert report(
         "criterion-8 byte-identical CSV across thread counts", same and bytes1 == bytes2
     )
+
+
+#: SHA-256 of the three reference sweep CSVs: `eralign sweep --n 9 --trials 500
+#: --c-grid 0.25,0.5,1,2,3,4 --seed 20250809`, the same at `--n 16 --cap 16`, and
+#: `--n 8 --trials 300 --c-grid 0.25,1,3 --noise 0.05 --seed 5`
+REFERENCE_CSV_SHA256 = {
+    9: "267f9fcdf0d4d9f1817c5b95f4577dfc8c54f03428ccf5f8f635ddd58efd6242",
+    16: "9155d3abe09cbfd15c2300bc8ece5ead19666791b086cbf3c6df830b9032e87d",
+    8: "9a92b57a721650daaada86a9f9af2613325b8da73e218d9870b2218a50036c95",
+}
+
+
+def test_reference_sweep_csvs_keep_their_bytes(threshold_sweep, threshold_sweep_n16, tmp_path):
+    noisy = SweepConfig(n=8, trials=300, seed=5, grid=CGrid((0.25, 1.0, 3.0), noise=0.05),
+                        out=str(tmp_path / "noisy.csv"), threads=1)
+    results = {9: threshold_sweep[1], 16: threshold_sweep_n16[1], 8: run_sweep(noisy)}
+    for n, result in results.items():
+        digest = hashlib.sha256(result.csv_text.encode()).hexdigest()
+        assert digest == REFERENCE_CSV_SHA256[n], n

@@ -552,6 +552,20 @@ def scan_aut(g):
     return int((ea.hamming_scan(g.bits, g.bits, g.n) == 0).sum())
 
 
+@functools.lru_cache(maxsize=None)
+def self_scans(n):
+    """Every labelled graph at n >= 2 in mask order, with its scan against
+    itself: (labellings, zero counts, second-smallest scores)."""
+    t = ea.pair_count(n)
+    labellings = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
+    zeros, runner_up = [], []
+    for x in labellings:
+        scores = ea.hamming_scan(x, x, n)
+        zeros.append(int(np.count_nonzero(scores == 0)))
+        runner_up.append(int(np.partition(scores, 1)[1]))
+    return labellings, zeros, runner_up
+
+
 def test_refinement_count_matches_scan_on_every_small_graph():
     for n in range(1, 6):
         t = ea.pair_count(n)
@@ -565,10 +579,9 @@ def test_refinement_count_matches_scan_on_every_small_graph():
 
 def test_refinement_count_matches_scan_on_every_labelled_graph_at_n6():
     # the 2^15 labelled graphs at n = 6 are closed under complement
-    n, t = 6, ea.pair_count(6)
-    for mask in range(1 << t):
-        g = ea.Graph(n, np.array([(mask >> k) & 1 for k in range(t)], dtype=np.uint8))
-        assert ea.refinement_aut_count(g) == scan_aut(g), mask
+    labellings, zeros, _ = self_scans(6)
+    for x, want in zip(labellings, zeros):
+        assert ea.refinement_aut_count(ea.Graph(6, x)) == want, x
 
 
 def disjoint_union(*graphs):
@@ -612,8 +625,11 @@ def test_refinement_count_closed_forms_through_repeated_twin_collapse():
         relabelled = ea.anonymize(g, ea.Permutation.random(g.n, rng))
         for h in (g, ea.Graph(g.n, 1 - g.bits), relabelled):
             assert ea.refinement_aut_count(h) == want, (name, h.to_line())
-            # the collapse alone finds every symmetry of these graphs
-            assert estimator._twin_quotient(h)[3] == want, (name, h.to_line())
+            # the collapse alone finds every symmetry of these graphs, from
+            # the all-zero colouring and from the walk hash's
+            assert estimator._twin_quotient(h, [0] * h.n)[3] == want, (name, h.to_line())
+            seeded = estimator._twin_quotient(h, estimator._walk_hash(h)[0].tolist())
+            assert seeded[3] == want, (name, h.to_line())
 
 
 def test_refinement_count_isolated_edges_past_the_scan():
@@ -718,10 +734,8 @@ def test_runner_up_distance_on_every_labelled_graph_up_to_n6():
     # cannot tell the search from one that prunes at bound - 2 or takes its exit
     # up to a bound of 4; the bound-4 test above can
     for n in range(2, 7):
-        t = ea.pair_count(n)
-        labellings = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
-        for x in labellings:
-            want = np.partition(ea.hamming_scan(x, x, n), 1)[1]
+        labellings, _, runner_up = self_scans(n)
+        for x, want in zip(labellings, runner_up):
             assert estimator.runner_up_distance(ea.Graph(n, x)) == want, (n, x)
 
 
@@ -850,7 +864,7 @@ def test_every_certified_small_graph_is_rigid():
     for n in range(1, 7):
         t = ea.pair_count(n)
         for x in ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8):
-            if estimator._certifies_rigid(ea.Graph(n, x)):
+            if estimator._walk_hash(ea.Graph(n, x))[1] == n:
                 assert scan_aut(ea.Graph(n, x)) == 1, (n, x)
                 certified[n] += 1
     assert certified == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 8 * factorial(6)}
@@ -863,12 +877,12 @@ def test_certified_small_graphs_count_1_without_refinement(monkeypatch):
     rng = rng_from_seed(7600)
     for n in (7, 8, 9):
         sampled = [random_graph(n, rng) for _ in range(40)]
-        certified = [g for g in sampled if estimator._certifies_rigid(g)]
+        certified = [g for g in sampled if estimator._walk_hash(g)[1] == g.n]
         assert len(certified) >= 10, n
         graphs += certified
-    assert all(estimator._certifies_rigid(g) and scan_aut(g) == 1 for g in graphs)
+    assert all(estimator._walk_hash(g)[1] == g.n and scan_aut(g) == 1 for g in graphs)
 
-    def no_quotient(g):
+    def no_quotient(g, h):
         raise AssertionError(f"refined a certified graph at n = {g.n}")
 
     monkeypatch.setattr(estimator, "_twin_quotient", no_quotient)
@@ -877,14 +891,16 @@ def test_certified_small_graphs_count_1_without_refinement(monkeypatch):
         assert ea.automorphism_count(g) == 1
 
 
-@pytest.mark.parametrize("n", [12, 16, 24, 32, 48])
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 48, 64, 128])
 def test_certified_counts_equal_the_refinement_counts(n, monkeypatch):
+    # a constant hash certifies nothing and seeds the all-zero colouring;
+    # sparse cells at n = 64 and 128 carry many twins
     rng = rng_from_seed(7700 + n)
     cs = [c for c in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0) if c * log(n) / n <= 1]
     graphs = [random_graph(n, rng, density=c * log(n) / n) for c in cs for _ in range(25)]
-    certified = [estimator._certifies_rigid(g) for g in graphs]
+    certified = [estimator._walk_hash(g)[1] == g.n for g in graphs]
     got = [ea.refinement_aut_count(g) for g in graphs]
-    monkeypatch.setattr(estimator, "_certifies_rigid", lambda g: False)
+    monkeypatch.setattr(estimator, "_walk_hash", lambda g: (np.zeros(g.n, dtype=np.uint64), 1))
     want = [ea.refinement_aut_count(g) for g in graphs]
     assert got == want
     # every sampled rigid graph here is certified, and only rigid ones are
@@ -909,7 +925,8 @@ def test_regular_graphs_fall_back_to_refinement():
     # and its complement are counted by refinement
     frucht_complement = ea.Graph(12, 1 - FRUCHT.bits)
     for g, want in ((FRUCHT, 1), (frucht_complement, 1), (PETERSEN, 120)):
-        assert estimator._walk_hash(g)[1] == 1 and not estimator._certifies_rigid(g)
+        distinct = estimator._walk_hash(g)[1]
+        assert distinct == 1 and distinct != g.n
         assert ea.refinement_aut_count(g) == want
 
 

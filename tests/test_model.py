@@ -133,6 +133,13 @@ def test_graph_validation():
         g.n = 5
 
 
+def test_graph_takes_bool_and_exact_float_labels():
+    path = ea.Graph.from_edges(3, [(0, 1), (1, 2)])
+    for bits in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int64)):
+        g = ea.Graph(3, bits)
+        assert g == path and g.bits.dtype == np.uint8
+
+
 def test_degrees_count_edges_in_integers():
     for n in range(1, 6):
         t = ea.pair_count(n)
@@ -183,17 +190,14 @@ def test_seeds_must_fit_in_64_bits():
 def test_sample_pair_label_frequencies():
     # n=5, uniform joint labels, 1e5 resamples with seeds 7, 8, ...:
     # each label frequency within 3 sigma of 1/4
-    n, resamples = 5, 10**5
+    n, resamples, uniform = 5, 10**5, ea.PVec.uniform()
     t = ea.pair_count(n)
-    counts = np.zeros(4)
+    a = np.empty((resamples, t), dtype=np.uint8)
+    b = np.empty((resamples, t), dtype=np.uint8)
     for k in range(resamples):
-        pair = ea.sample_pair(n, ea.PVec.uniform(), seed=7 + k)
-        a = pair.ga.bits.astype(np.int64)
-        b = pair.gb.bits.astype(np.int64)
-        counts[0] += int(((1 - a) & (1 - b)).sum())  # 00
-        counts[1] += int(((1 - a) & b).sum())  # 01
-        counts[2] += int((a & (1 - b)).sum())  # 10
-        counts[3] += int((a & b).sum())  # 11
+        pair = ea.sample_pair(n, uniform, seed=7 + k)
+        a[k], b[k] = pair.ga.bits, pair.gb.bits
+    counts = np.bincount((2 * a + b).ravel(), minlength=4)  # labels 00, 01, 10, 11
     total = resamples * t
     sigma = math.sqrt(0.25 * 0.75 / total)
     for freq in counts / total:
@@ -424,6 +428,12 @@ ZEROS3 = np.zeros(3, dtype=np.uint8)
 GATED = {
     "Graph-n-float": (lambda: ea.Graph(2.0, [1]), ParameterError, "n"),
     "Graph-n-bool": (lambda: ea.Graph(True, []), ParameterError, "n"),
+    "Graph-label-half": (lambda: ea.Graph(2, [0.5]), ParameterError, "labels"),
+    "Graph-label-1.9": (lambda: ea.Graph(2, [1.9]), ParameterError, "labels"),
+    "Graph-label-string": (lambda: ea.Graph(2, ["1"]), ParameterError, "labels"),
+    "Graph-label-negative": (lambda: ea.Graph(2, [-1]), ParameterError, "labels"),
+    "Graph-label-256": (lambda: ea.Graph(2, [256]), ParameterError, "labels"),
+    "Graph-label-nan": (lambda: ea.Graph(2, [math.nan]), ParameterError, "labels"),
     "TypeMatrix-float": (lambda: ea.TypeMatrix(1.5, 0, 0, 0), ParameterError, "k00"),
     "pair_index-float": (lambda: pair_index(0, 1.5, 3), ParameterError, "j"),
     "sample_pair-n-float": (lambda: ea.sample_pair(3.0, P_HALF, 0), ParameterError, "n"),
