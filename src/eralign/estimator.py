@@ -1,24 +1,27 @@
 """Exhaustive alignment estimation over all n! permutations.
 
-Entry [c, k] of the cached lift table is the image of vertex pair c
-under the k-th permutation in lexicographic order.  The table is stored
-pair-major, one row per pair.  The Hamming distance against a reference
-labeling reduces to counting hits over the smaller of the reference's
-edge set and non-edge set, and the scan reads only those rows.
+The scan reads the image of vertex pair c under the k-th permutation in
+lexicographic order from a cached lift table.  The Hamming distance
+against a reference labeling reduces to counting hits over the smaller
+of the reference's edge set and non-edge set, and the scan reads only
+those pairs.
 
 Pair {i, j} with i < j has level j: its image depends on pi(0..j) alone,
-so its row is constant on blocks of (n-1-j)! consecutive columns.  The
-scan therefore reads each selected row with stride (n-1-j)!, sums the
-rows of one level, and widens the running per-block sums to the next
-level's blocks only when a deeper level needs them.  It ends with one
-score per block of the deepest level read; map_estimate counts on those
-blocks and only hamming_scan widens them to n!.  Putting the vertices
-with the most selected pairs first leaves few rows at the deep levels:
-scan_order relabels so where best_perm is not needed, as in noisy trials.
+so it is constant on blocks of (n-1-j)! consecutive permutations.  The
+scan reads each selected pair once per block, sums the pairs of one
+level, and widens the running per-block sums to the next level's blocks
+only when a deeper level needs them.  It ends with one score per block
+of the deepest level read; map_estimate counts on those blocks and only
+hamming_scan widens them to n!.  Putting the vertices with the most
+selected pairs first leaves few pairs at the deep levels: scan_order
+relabels so where best_perm is not needed, as in noisy trials.
 
-The table is the scan's one large allocation and its one cache, so every
-scan first checks its bytes against a fixed budget (require_bytes),
-whatever cap the caller passes.  Concurrent first scans build it once.
+The table is built from the permutations of [n - 1] (_build_lift_table)
+and holds 0.8 MB at n = 9.  It and the scan's n!-long arrays are the
+scan's large allocations, and the table is its one cache, so every scan
+first checks their bytes against a fixed budget (require_bytes), whatever
+cap the caller passes: n = 11 fits and n = 12 does not.  Concurrent first
+scans build the table once.
 
 Automorphism groups are counted without any n! table, at every n.  Twin
 classes (equal open or closed neighbourhoods) are collapsed first, over
@@ -52,8 +55,8 @@ from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank, lex_unrank, require_
 
 def _lex_perm_matrix(n: int) -> np.ndarray:
     """All permutations of [n] in lexicographic order, one per row (int8)."""
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.int8)
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
     prev = _lex_perm_matrix(n - 1)
     block = prev.shape[0]
     out = np.empty((n * block, n), dtype=np.int8)
@@ -66,19 +69,34 @@ def _lex_perm_matrix(n: int) -> np.ndarray:
     return out
 
 
-def _build_lift_table(n: int) -> np.ndarray:
-    """Pair-major lift table: entry [c, k] is the image of pair c under the
-    k-th permutation in lexicographic order (int8), built one row at a time."""
-    perms = _lex_perm_matrix(n)
+def _build_lift_table(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The lift table at n as (rows, lookup), built from the permutations of [n - 1].
+
+    The k-th permutation of [n] in lexicographic order is (f, v_f o sigma):
+    f = k div (n-1)!, sigma is the (k mod (n-1)!)-th permutation of [n-1],
+    and v_f maps [n-1] onto [n] minus f in order.  So it maps pair {i, j}
+    (i < j) to pair lookup[f, r], where r is the (n-1)-pair index of
+    {sigma(i-1), sigma(j-1)} when i >= 1 and C(n-1, 2) + sigma(j-1) when
+    i = 0.  rows[c] holds pair c's r (int8) for every (n-1-j)!-th sigma:
+    the image depends on pi(0..j) alone, so that is every sigma the scan
+    tells apart.
+    """
+    m = n - 1
+    perms = _lex_perm_matrix(m)
+    si, sj = pair_array(m)
+    sub = np.zeros((m, m), dtype=np.int8)
+    sub[si, sj] = sub[sj, si] = np.arange(len(si))
     ii, jj = pair_array(n)
-    pidx = np.zeros((n, n), dtype=np.int8)
-    t = pair_count(n)
-    pidx[ii, jj] = np.arange(t, dtype=np.int8)
-    pidx[jj, ii] = pidx[ii, jj]
-    out = np.empty((t, perms.shape[0]), dtype=np.int8)
-    for c in range(t):
-        out[c] = pidx[perms[:, ii[c]], perms[:, jj[c]]]
-    return out
+    rows = []
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        stride = factorial(m - j)
+        col = perms[::stride, j - 1]
+        rows.append(sub[perms[::stride, i - 1], col] if i else col + len(si))
+    pidx = np.zeros((n, n), dtype=np.intp)
+    pidx[ii, jj] = pidx[jj, ii] = np.arange(len(ii))
+    f = np.arange(n)[:, None]
+    v = np.arange(m) + (np.arange(m) >= f)  # v[f, x] = v_f(x)
+    return rows, np.concatenate([pidx[v[:, si], v[:, sj]], pidx[f, v]], axis=1)
 
 
 #: held while _lift_table is read, so threads that ask at once wait for one build
@@ -86,18 +104,32 @@ _TABLE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=3)
-def _lift_table(n: int) -> np.ndarray:
-    """The pair-major lift table at n, built once per n."""
+def _lift_table(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The lift table at n, built once per n."""
     return _build_lift_table(n)
 
 
+@functools.lru_cache(maxsize=16)
 def lift_table_bytes(n: int) -> int:
-    """Bytes of the int8 lift table and permutation matrix a scan at n builds."""
-    return factorial(n) * (pair_count(n) + n)
+    """Bytes a first scan at n holds at most, counted once per n.
+
+    They are the table's int8 rows and intp lookup, the (n-1)! x (n-1)
+    permutation matrix live while the rows are built, and the scan's
+    n!-long arrays: uint8 part and hits in _block_keys, hamming_scan's int32
+    scores, and the intp cast of one row that take makes.  The j pairs
+    {i, j} hold (n-1)!/(n-1-j)! entries each, and their sum over j is
+    (n-2) * a + 1, where a = sum_k (n-1)!/k! counts the arrangements of [n-1].
+    """
+    block, arrangements = 1, 1  # k! and sum_i k!/i! after step k
+    for k in range(1, n):
+        block *= k
+        arrangements = arrangements * k + 1
+    rows = (n - 2) * arrangements + 1
+    return rows + 8 * n * pair_count(n) + block * (n - 1) + 6 * n * block + 8 * block
 
 
 def scan_fits(n: int) -> bool:
-    """Whether the n! scan's tables fit in SCAN_BYTE_BUDGET."""
+    """Whether a first n! scan's bytes (lift_table_bytes) fit in SCAN_BYTE_BUDGET."""
     return lift_table_bytes(n) <= SCAN_BYTE_BUDGET
 
 
@@ -105,12 +137,12 @@ def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.nd
     """hamming_scan's scores as (key, base): block b of n!/len(key)
     lexicographically consecutive permutations all score base + 2 * key[b]."""
     require_cap(n, cap, "an exhaustive scan")
-    require_bytes(lift_table_bytes(n), "an exhaustive scan's lift table")
+    require_bytes(lift_table_bytes(n), "an exhaustive scan")
     t = pair_count(n)
     if xa.shape != (t,) or xb.shape != (t,):
         raise ParameterError("label vectors do not match n")
     with _TABLE_LOCK:
-        lifted = _lift_table(n)
+        rows, lookup = _lift_table(n)
     ea = int(xa.sum())
     eb = int(xb.sum())
     edge_cols = np.flatnonzero(xb)
@@ -120,20 +152,21 @@ def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.nd
         cols, direct = np.flatnonzero(xb == 0), False
     # hits[b] sums the hits of the levels read so far over block b of the
     # deepest of them (one zero block before the first); levels n-2 and n-1
-    # share blocks of one column.  At most t/2 <= 22 rows are summed (n <= 10
-    # under the byte budget), so uint8 holds every count.  Entries are pair
+    # share blocks of one permutation.  At most t/2 <= 27 rows are summed
+    # (n <= 11 under the byte budget), so uint8 holds every count.  xl[f, r]
+    # is xa at pair lookup[f, r], so reading a row of it for each first image
+    # f in turn gives a level's blocks in lexicographic order.  Entries are
     # indices, so take skips its bounds checks (mode="clip").
-    xa8 = xa.astype(np.uint8)
-    rows = {}
+    xl = xa.astype(np.uint8)[lookup]
+    levels = {}
     for c, k in zip(cols.tolist(), np.minimum(pair_array(n)[1][cols], n - 2).tolist()):
-        rows.setdefault(k, []).append(c)
+        levels.setdefault(k, []).append(c)
     hits = np.zeros(1, dtype=np.uint8)
-    for k in sorted(rows):
-        stride = factorial(n - 1 - k)
-        first, *rest = rows[k]
-        part = np.take(xa8, lifted[first, ::stride], mode="clip")
+    for k in sorted(levels):
+        first, *rest = levels[k]
+        part = np.take(xl, rows[first], axis=1, mode="clip").reshape(-1)
         for c in rest:
-            part += np.take(xa8, lifted[c, ::stride], mode="clip")
+            part += np.take(xl, rows[c], axis=1, mode="clip").reshape(-1)
         if len(hits) > 1:  # widen the sums of the levels above to this level's blocks
             part += np.repeat(hits, len(part) // len(hits))
         hits = part
@@ -288,8 +321,9 @@ def runner_up_distance(g: Graph, aut: int | None = None) -> int:
     Before a level's survivors are gathered, require_bytes counts
     _SEARCH_ENTRY_BYTES per (survivor, vertex) entry and raises
     CapExceededError past SCAN_BYTE_BUDGET.  On 90 rigid graphs at n = 10,
-    14 searched and the largest level counted 0.55 MB; run_trial calls it
-    only where the scan fits.  Masks are uint16, so 2 <= n <= 16.
+    14 searched and the largest level counted 0.55 MB; at n = 11, 23 of 90
+    searched and the largest counted 2.9 MB.  run_trial calls it only where
+    the scan fits, n <= 11.  Masks are uint16, so 2 <= n <= 16.
     """
     n = count("n", g.n, 2, ("16", 16))
     adj = np.zeros((n, n), dtype=np.uint16)

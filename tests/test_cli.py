@@ -423,20 +423,36 @@ def test_sweep_refuses_a_huge_n_before_sampling(capsys):
             assert "Traceback" not in err
 
 
+def test_noisy_sweep_runs_at_n11_and_is_refused_at_n12(capsys):
+    # n = 11 is the largest n whose scan fits the byte budget
+    flags = ["--trials", "1", "--c-grid", "1", "--noise", "0.02", "--seed", "7"]
+    code, out, err = run_cli(capsys, "sweep", "--n", "11", "--cap", "11", *flags)
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert header.startswith("n,") and len(rows) == 1 and rows[0].startswith("11,")
+    estimator._lift_table.cache_clear()  # leave no 0.1 GB table cached for the rest of the suite
+    with mock.patch.object(estimator, "_build_lift_table", _no_table_past_the_budget):
+        code, out, err = run_cli(capsys, "sweep", "--n", "12", "--cap", "12", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "byte budget" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # property: whatever argv and config a sweep is given, it exits 0 or 2 with
 # "error:", and never with a traceback.  Configs start valid and then have up
 # to two entries, at any depth, dropped or replaced by a WILD value.  No cap
 # passes 20, and an n of 100,000 is refused before its pair is sampled.  Runs
-# stay at n <= 7 or at n = 11, 16 (or a WILD 12, 20), where noiseless trials
-# are counted by refinement and noisy ones are refused by the scan's byte
-# estimate; no lift table is ever built past n = 10.
+# stay at n <= 7 or at n = 12, 16 (or a WILD 20), where noiseless trials are
+# counted by refinement and noisy ones are refused by the scan's byte
+# estimate; no lift table is ever built past n = 11.
 
 WILD = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
         | st.sampled_from([-1, 0, 1, 3, 12, 20]) | st.lists(st.integers(-2, 2), max_size=2))
 RATE = st.sampled_from([0, 0.01, 0.05, 0.25, 0.5, 1, 2, 4.0, 10**400, -1e308])
 INTS = {  # mostly valid; the last entries are out of range
-    "n": st.sampled_from([7, 16, 11, 6, 5, 2, 1, 100_000]),
+    "n": st.sampled_from([7, 16, 12, 6, 5, 2, 1, 100_000]),
     "trials": st.sampled_from([1, 2, 1, 0]),
     "seed": st.sampled_from([0, 7, (1 << 64) - 1, 1 << 64, -1]),
     "threads": st.sampled_from([1, 2, 3, 0]),
@@ -490,7 +506,7 @@ real_build_lift_table = estimator._build_lift_table
 
 
 def _no_table_past_the_budget(n):
-    assert n < 11, f"lift table built for n={n}"
+    assert n < 12, f"lift table built for n={n}"
     return real_build_lift_table(n)
 
 

@@ -4,6 +4,7 @@ import functools
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import factorial, log
@@ -257,6 +258,41 @@ def test_scan_matches_row_major_oracle_on_extreme_densities(n):
     for xb in graphs:
         for xa in graphs:
             assert_scan_matches_oracle(xa, xb, n)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_scan_matches_direct_distances_past_the_row_major_table(n):
+    # no row-major table fits here, so the oracle is spot ranks: the first, the
+    # last and 100 drawn from a fixed seed, on 2 pairs that differ.  The score
+    # of pi is the distance from gc to gb relabelled by pi
+    rng = rng_from_seed(7100 + n)
+    p = CGrid((1,), 0.02).cells(n)[0].p
+    ranks = [0, factorial(n) - 1, *rng.integers(factorial(n), size=100).tolist()]
+    checked = 0
+    while checked < 2:
+        pair = ea.sample_pair(n, p, int(rng.integers(1 << 62)))
+        if pair.ga == pair.gb:
+            continue
+        gc = ea.anonymize(pair.ga, ea.Permutation.random(n, rng))
+        deltas = ea.hamming_scan(gc.bits, pair.gb.bits, n, cap=n)
+        for k in ranks:
+            relabelled = ea.anonymize(pair.gb, ea.perms.lex_unrank(k, n))
+            assert deltas[k] == int((gc.bits != relabelled.bits).sum()), (n, k, gc.to_line())
+        checked += 1
+
+
+def test_runner_up_distance_at_the_largest_scan():
+    # n = 11, the largest n whose scan fits the byte budget
+    rng = rng_from_seed(5111)
+    found = 0
+    while found < 2:
+        g = random_graph(11, rng, density=(1, 2)[found] * log(11) / 11)
+        if ea.refinement_aut_count(g) == 1:
+            scores = ea.hamming_scan(g.bits, g.bits, 11, cap=11)
+            scores.partition(1)
+            assert estimator.runner_up_distance(g) == scores[1], g.to_line()
+            found += 1
+    estimator._lift_table.cache_clear()  # leave no 0.1 GB table cached for the rest of the suite
 
 
 def test_concurrent_first_scans_build_the_table_once(monkeypatch):
@@ -843,7 +879,7 @@ def test_refinement_count_known_groups_past_the_scan():
 def test_automorphism_count_past_the_scan():
     # a rigid graph plus k isolated vertices has exactly k! automorphisms,
     # and so does its complement
-    for k in (5, 8, 10):
+    for k in (6, 8, 10):
         n = 6 + k
         g = ea.Graph.from_edges(n, RIGID6.edge_list())
         comp = ea.Graph(n, 1 - g.bits)
@@ -946,16 +982,17 @@ def test_relabelling_permutes_the_walk_hash(case):
 
 
 def test_scan_byte_guard(monkeypatch):
-    assert estimator.scan_fits(10)
-    assert not estimator.scan_fits(11)
-    assert estimator.lift_table_bytes(11) > 2.2e9
+    assert estimator.scan_fits(11)
+    assert not estimator.scan_fits(12)
+    assert estimator.lift_table_bytes(11) == 393_600_950
+    assert estimator.lift_table_bytes(12) == 4_717_486_257
     assert estimator.lift_table_bytes(10) <= estimator.SCAN_BYTE_BUDGET
 
     def no_build(n):
         raise AssertionError(f"lift table built for n={n}")
 
     monkeypatch.setattr(estimator, "_lift_table", no_build)
-    for n in (11, 16):
+    for n in (12, 16):
         big = ea.Graph.empty(n)
         with pytest.raises(CapExceededError, match="byte budget"):
             ea.hamming_scan(big.bits, big.bits, n, cap=n)
@@ -967,15 +1004,30 @@ def test_scan_byte_guard(monkeypatch):
             ea.intersection_aut_check(big, big, cap=n)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_a_first_scan_holds_at_most_its_byte_count(n):
+    # the table is built inside the traced scan; a half-full graph reads rows
+    # down to the deepest level
+    x = random_graph(n, rng_from_seed(7300 + n)).bits
+    estimator._lift_table.cache_clear()
+    tracemalloc.start()
+    try:
+        ea.hamming_scan(x, x, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimator.lift_table_bytes(n)
+
+
 NOISY = ea.PVec(0.4, 0.1, 0.1, 0.4)
-ZEROS6, ZEROS11 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 11))
+ZEROS6, ZEROS12 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 12))
 # each caller of perms.require_cap and model.require_bytes, with the words its message must hold
 GUARDED = {
     "enumerate_perms-cap": (lambda: next(ea.enumerate_perms(5, cap=4)), "cap 4"),
     "hamming_scan-cap": (lambda: ea.hamming_scan(ZEROS6, ZEROS6, 6, cap=5), "cap 5"),
     "automorphism_count-cap": (lambda: ea.automorphism_count(ea.Graph.empty(7), cap=6), "cap 6"),
     "run_trial-cap": (lambda: ea.run_trial(8, NOISY, 0, cap=7), "cap 7"),
-    "hamming_scan-bytes": (lambda: ea.hamming_scan(ZEROS11, ZEROS11, 11, cap=11), "byte budget"),
+    "hamming_scan-bytes": (lambda: ea.hamming_scan(ZEROS12, ZEROS12, 12, cap=12), "byte budget"),
     "run_trial-bytes": (lambda: ea.run_trial(100_000, NOISY, 0, cap=100_000), "byte budget"),
     "sample_pair-bytes": (lambda: ea.sample_pair(100_000, NOISY, 0), "byte budget"),
 }

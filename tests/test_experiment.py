@@ -281,10 +281,10 @@ def test_sweep_strided_threads_give_the_serial_trials(noise):
 
 
 def test_threaded_sweep_refusal_propagates():
-    # noisy pairs at n = 11 need an 11! scan, past the byte budget
+    # noisy pairs at n = 12 need a 12! scan, past the byte budget
     for threads in (1, 2):
-        cfg = SweepConfig(n=11, trials=3, seed=1, grid=CGrid((1.0,), 0.05), threads=threads,
-                          cap=11)
+        cfg = SweepConfig(n=12, trials=3, seed=1, grid=CGrid((1.0,), 0.05), threads=threads,
+                          cap=12)
         with pytest.raises(CapExceededError, match="byte budget"):
             run_sweep(cfg)
 
