@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import bounds as bnd
-from .errors import USAGE_ERRORS, ConfigError, ParameterError
+from .errors import USAGE_ERRORS, ConfigError
 from .estimator import automorphism_count, isolated_count, map_estimate
 from .experiment import SweepConfig, read_config, read_text, emit_plot, run_sweep, verify_gf
 from .genfunc import WMatrix
@@ -21,21 +20,11 @@ from .model import (
     Graph,
     PVec,
     SubsamplingParams,
+    read_list,
     sample_pair,
     subsampling_to_pvec,
 )
 from .perms import DEFAULT_ENUM_CAP, Permutation
-
-
-def parse_list(text: str, convert, what: str, count: Optional[int] = None) -> list:
-    """Convert the entries of a comma-separated list; a bad entry or count raises ParameterError."""
-    parts = [s.strip() for s in text.split(",")]
-    if count is not None and len(parts) != count:
-        raise ParameterError(f"expected {count} comma-separated {what}, got {text!r}")
-    try:
-        return [convert(s) for s in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _read_graph(path: str) -> Graph:
@@ -44,7 +33,7 @@ def _read_graph(path: str) -> Graph:
 
 def _cmd_gen(args) -> int:
     if args.subsampling:
-        r, sa, sb = parse_list(args.subsampling, float, "subsampling parameters r,sa,sb", 3)
+        r, sa, sb = read_list(args.subsampling, float, "subsampling parameters r,sa,sb", 3)
         p = subsampling_to_pvec(SubsamplingParams(r, sa, sb))
     elif args.p is not None:
         p = PVec.from_line(args.p)
@@ -96,7 +85,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("either --config or --c-grid is required")
     d = read_config(args.config) if args.config else {"n": 9, "trials": 100}
     if args.c_grid is not None:
-        d["grid"] = {"kind": "c_grid", "c": parse_list(args.c_grid, float, "c values")}
+        d["grid"] = {"kind": "c_grid", "c": read_list(args.c_grid, float, "c values")}
     if args.noise is not None:
         grid = d.get("grid")
         if not (isinstance(grid, dict) and grid.get("kind") == "c_grid"):
@@ -129,7 +118,7 @@ def _cmd_verify_gf(args) -> int:
 #: each --op of `bounds`, in --help order, and the report it evaluates from the parsed flags
 BOUND_OPS = {
     "delta-tail": lambda a: bnd.delta_tail_bound(
-        WMatrix(*parse_list(a.w, Fraction, "weights", 4)), a.t_tilde
+        WMatrix(*read_list(a.w, Fraction, "weights", 4)), a.t_tilde
     ),
     "dense-base": lambda a: bnd.dense_tail_base(a.n, PVec.from_line(a.p)),
     "conditional-tail": lambda a: bnd.conditional_tail_bound(
@@ -247,11 +236,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (*USAGE_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,11 @@
 
 The scan reads the image of vertex pair c under the k-th permutation in
 lexicographic order from a cached lift table.  The Hamming distance
-against a reference labeling reduces to counting hits over the smaller
-of the reference's edge set and non-edge set, and the scan reads only
-those pairs.
+against a reference labeling is ea + eb - 2 * hits, where hits counts the
+reference's edges that the relabelled graph also has.  Complementing both
+graphs leaves every distance unchanged, so when the reference has more
+edges than non-edges the scan complements both; either way it reads only
+the reference's edges, at most half the pairs.
 
 Pair {i, j} with i < j has level j: its image depends on pi(0..j) alone,
 so it is constant on blocks of (n-1-j)! consecutive permutations.  The
@@ -49,8 +51,8 @@ from math import factorial
 import numpy as np
 
 from .errors import ParameterError
-from .model import (SCAN_BYTE_BUDGET, Graph, count, intersection, pair_array, pair_count,
-                    require_bytes)
+from .model import (SCAN_BYTE_BUDGET, Graph, common_n, count, intersection, pair_array,
+                    pair_count, require_bytes)
 from .perms import DEFAULT_ENUM_CAP, Permutation, lex_rank, lex_unrank, require_cap
 
 def _lex_perm_matrix(n: int) -> np.ndarray:
@@ -136,6 +138,7 @@ def scan_fits(n: int) -> bool:
 def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.ndarray, int]:
     """hamming_scan's scores as (key, base): block b of n!/len(key)
     lexicographically consecutive permutations all score base + 2 * key[b]."""
+    n = count("n", n, 1)
     require_cap(n, cap, "an exhaustive scan")
     require_bytes(lift_table_bytes(n), "an exhaustive scan")
     t = pair_count(n)
@@ -145,11 +148,9 @@ def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.nd
         rows, lookup = _lift_table(n)
     ea = int(xa.sum())
     eb = int(xb.sum())
-    edge_cols = np.flatnonzero(xb)
-    if 2 * len(edge_cols) <= t:
-        cols, direct = edge_cols, True
-    else:
-        cols, direct = np.flatnonzero(xb == 0), False
+    if 2 * eb > t:  # complementing both graphs keeps every score, and xb then has fewer edges
+        xa, xb, ea, eb = xa ^ 1, xb ^ 1, t - ea, t - eb
+    cols = np.flatnonzero(xb)
     # hits[b] sums the hits of the levels read so far over block b of the
     # deepest of them (one zero block before the first); levels n-2 and n-1
     # share blocks of one permutation.  At most t/2 <= 27 rows are summed
@@ -170,11 +171,8 @@ def _block_keys(xa: np.ndarray, xb: np.ndarray, n: int, cap: int) -> tuple[np.nd
         if len(hits) > 1:  # widen the sums of the levels above to this level's blocks
             part += np.repeat(hits, len(part) // len(hits))
         hits = part
-    # the score is ea + eb - 2 * mu11, where mu11 is hits when direct, else
-    # ea - hits; a key of 255 - hits when direct keeps it rising with the score
-    if direct:
-        return np.invert(hits, out=hits), ea + eb - 510
-    return hits, eb - ea
+    # the score is ea + eb - 2 * hits; a key of 255 - hits keeps it rising with the score
+    return np.invert(hits, out=hits), ea + eb - 510
 
 
 def hamming_scan(xa: np.ndarray, xb: np.ndarray, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -234,9 +232,7 @@ def map_estimate(
     and its score gap to the runner-up.  Without it, q_size is the count of
     minimizers.
     """
-    if gc.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {gc.n} vs {gb.n}")
-    n = gc.n
+    n = common_n(gc, gb)
     key, base = _block_keys(gc.bits, gb.bits, n, cap)
     block = factorial(n) // len(key)
     best_idx = int(np.argmin(key))  # first minimizer in lexicographic order
@@ -266,14 +262,12 @@ def scan_order(ga: Graph, gb: Graph) -> tuple[Graph, Graph, Permutation]:
     is gb or ga, whichever reads fewer entries once the vertices with the
     most pairs the scan reads come first (a stable sort).
     """
-    if ga.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
-    n, t = ga.n, len(ga.bits)
+    n, t = common_n(ga, gb), len(ga.bits)
     pairs = list(zip(*(ends.tolist() for ends in pair_array(n))))
     sides = []
     for g in (gb, ga):
         bits = g.bits.tolist()
-        flip = 2 * sum(bits) > t
+        flip = 2 * sum(bits) > t  # _block_keys' rule: a dense g is read by its non-edges
         nbrs = [0] * n  # bit w of nbrs[v]: the scan reads pair {v, w}
         for (i, j), b in zip(pairs, bits):
             if b != flip:
@@ -490,10 +484,6 @@ def refinement_aut_count(g: Graph) -> int:
     every n; on sampled graphs at n = 12-48 that was every rigid one.  Any
     other graph's hash seeds _twin_quotient's colouring: the coloured graph
     has the same group, and refinement starts from the hash's classes.
-    Seeding, timed against the all-zero start (run_trial on both in one
-    process, interleaved per trial, 4 passes of 300 trials per cell, 2-vCPU
-    VM), made the noiseless README grids 1.01x as fast at n = 9 and 1.03x
-    at n = 16, and left the noisy n = 8 grid at 1.00x.
 
     The twin classes are collapsed first (_twin_quotient): |Aut(g)| is the
     product of |C|! over the collapsed classes C times |Aut| of the
@@ -578,8 +568,6 @@ def intersection_aut_check(ga: Graph, gb: Graph, cap: int = DEFAULT_ENUM_CAP) ->
     Returns True when the instance satisfies that; False indicates an
     implementation bug, not a property of the input.
     """
-    if ga.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
     gw = intersection(ga, gb)
     aut_mask = hamming_scan(gw.bits, gw.bits, ga.n, cap=cap) == 0
     deltas = hamming_scan(ga.bits, gb.bits, ga.n, cap=cap)

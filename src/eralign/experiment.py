@@ -15,7 +15,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from typing import Dict, List, Optional, Tuple, Union

@@ -19,6 +19,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -66,6 +67,17 @@ def real(value, within: Callable, rule: str, error=ParameterError) -> float:
     if not (math.isfinite(x) and within(x) and within(value)):
         raise error(f"{rule}, got {x}" + ("" if math.isfinite(x) else " (reals must be finite)"))
     return x
+
+
+def read_list(text: str, convert, what: str, size: Optional[int] = None) -> list:
+    """Convert the entries of a comma-separated list; a bad entry or size raises ParameterError."""
+    parts = [s.strip() for s in text.split(",")]
+    if size is not None and len(parts) != size:
+        raise ParameterError(f"expected {size} comma-separated {what}, got {text!r}")
+    try:
+        return [convert(s) for s in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def pair_count(n: int) -> int:
@@ -162,15 +174,12 @@ class PVec:
     @classmethod
     def from_line(cls, line: str) -> "PVec":
         """Parse p11,p10,p01,p00: exact if the four decimals sum to exactly 1, else floats."""
-        parts = line.strip().split(",")
-        if len(parts) != 4:
-            raise ParameterError(f"expected 4 comma-separated probabilities, got {line!r}")
-        try:
-            fracs = [Fraction(s.strip()) for s in parts]
-            if sum(fracs) != 1:
+        fracs = read_list(line, Fraction, "probabilities", 4)
+        if sum(fracs) != 1:
+            try:
                 fracs = [float(f) for f in fracs]
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParameterError(f"cannot read probabilities {line!r}: {exc}") from exc
+            except OverflowError as exc:
+                raise ParameterError(f"cannot parse probabilities {line!r}: {exc}") from exc
         return cls(*fracs)
 
     @classmethod
@@ -296,6 +305,13 @@ class Graph:
         return cls(n, bits[:t])
 
 
+def common_n(ga: Graph, gb: Graph) -> int:
+    """The vertex count of ga and gb, else ParameterError when they differ."""
+    if ga.n != gb.n:
+        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
+    return ga.n
+
+
 @dataclass(frozen=True)
 class CorrelatedPair:
     """Two graphs on the same vertex set, sampled jointly per pair."""
@@ -304,8 +320,7 @@ class CorrelatedPair:
     gb: Graph
 
     def __post_init__(self):
-        if self.ga.n != self.gb.n:
-            raise ParameterError(f"vertex counts differ: {self.ga.n} vs {self.gb.n}")
+        common_n(self.ga, self.gb)
 
     @property
     def n(self) -> int:
@@ -380,11 +395,14 @@ SCAN_BYTE_BUDGET = 1 << 30
 
 
 def require_bytes(need: int, what: str) -> None:
-    """Refuse need bytes past SCAN_BYTE_BUDGET with CapExceededError naming what."""
+    """Refuse need bytes past SCAN_BYTE_BUDGET with CapExceededError naming what.
+
+    need can pass float range (an n! scan at n >= 171) and str()'s 4,300 digits,
+    so it is rounded in integers, and shown by Decimal past 10^14 bytes."""
     if need > SCAN_BYTE_BUDGET:
-        raise CapExceededError(
-            f"{what} needs {need / 1e9:.1f} GB, over the {SCAN_BYTE_BUDGET}-byte budget"
-        )
+        gb, tenths = divmod((need + 5 * 10**7) // 10**8, 10)
+        size = f"{gb}.{tenths} GB" if gb < 10**5 else f"{Decimal(need):.1e} bytes"
+        raise CapExceededError(f"{what} needs {size}, over the {SCAN_BYTE_BUDGET}-byte budget")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -441,15 +459,12 @@ def anonymize(g: Graph, pi) -> Graph:
 
 def intersection(ga: Graph, gb: Graph) -> Graph:
     """Graph whose edges are present in both inputs."""
-    if ga.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
-    return Graph(ga.n, ga.bits & gb.bits)
+    return Graph(common_n(ga, gb), ga.bits & gb.bits)
 
 
 def type_matrix(fa: Graph, fb: Graph) -> TypeMatrix:
     """Joint label counts of two graphs over all vertex pairs."""
-    if fa.n != fb.n:
-        raise ParameterError(f"vertex counts differ: {fa.n} vs {fb.n}")
+    common_n(fa, fb)
     a = fa.bits.astype(np.int64)
     b = fb.bits.astype(np.int64)
     k11 = int((a & b).sum())
@@ -466,8 +481,6 @@ def delta_stat(tau, ga: Graph, gb: Graph) -> int:
     mean tau beats the identity alignment.  Cross-checked against the
     equivalent 11-count difference, which must agree.
     """
-    if ga.n != gb.n:
-        raise ParameterError(f"vertex counts differ: {ga.n} vs {gb.n}")
     composed = ga.bits[list(bijection(tau, "pair permutation", size=len(ga.bits)))]
     before = type_matrix(ga, gb)
     after = type_matrix(Graph(ga.n, composed), gb)

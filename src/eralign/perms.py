@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DomainError, ParameterError
-from .model import bijection, count, lifted_pairs, pair_count, real
+from .model import bijection, count, lifted_pairs, pair_count, read_list, real
 
 #: default guard against accidental factorial blowup in exhaustive scans
 DEFAULT_ENUM_CAP = 10
@@ -66,11 +66,7 @@ class Permutation:
 
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
-        try:
-            images = tuple(int(x) for x in s.strip().split(","))
-        except ValueError as exc:
-            raise ParameterError(f"cannot parse permutation {s!r}") from exc
-        return cls(images)
+        return cls(read_list(s, int, "permutation"))
 
     def to_string(self) -> str:
         return ",".join(str(x) for x in self.images)

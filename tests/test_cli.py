@@ -217,6 +217,20 @@ def test_align_missing_file_is_io_error(tmp_path, capsys):
         capsys, "align", "--gc", str(tmp_path / "nope.txt"), "--gb", str(tmp_path / "nope.txt")
     )
     assert code == 2
+    assert err.startswith("error:")
+
+
+def test_align_past_float_range_of_bytes_exits_2(tmp_path, capsys):
+    # an n! scan at n = 200 needs more bytes than a float holds
+    code, out, _ = run_cli(capsys, "gen", "--n", "200", "--p", "0.1,0.01,0.01,0.88")
+    assert code == 0
+    for name, line in zip(("ga", "gb"), out.splitlines()):
+        (tmp_path / name).write_text(line + "\n")
+    code, _, err = run_cli(capsys, "align", "--gc", str(tmp_path / "ga"),
+                           "--gb", str(tmp_path / "gb"), "--cap", "1000")
+    assert code == 2
+    assert err.startswith("error:") and "byte budget" in err
+    assert "Traceback" not in err
 
 
 #: argv entries that name a file, written with these bytes before the run
@@ -226,6 +240,10 @@ FILE_BYTES = {
     "NOT_UTF8": b"\xff\xfe\x00bad",
     "HUGE_INT_JSON": b'{"n": ' + b"1" * 5000 + b', "trials": 1, "grid": {"kind": "c_grid", "c": [1]}}',
 }
+
+#: argv entries that name a path under the test's directory, left as they are: the
+#: directory itself, a missing file, and a file in a missing directory
+TMP_PATHS = {"TMP_DIR": ".", "MISSING": "missing.txt", "IN_MISSING_DIR": "missing/out.csv"}
 
 MALFORMED_ARGV = {
     "gen-no-p": ["gen", "--n", "3"],
@@ -270,6 +288,12 @@ MALFORMED_ARGV = {
     "align-gb-not-utf8": ["align", "--gc", "K4", "--gb", "NOT_UTF8"],
     "sweep-config-not-utf8": ["sweep", "--config", "NOT_UTF8"],
     "sweep-config-int-past-digit-limit": ["sweep", "--config", "HUGE_INT_JSON"],
+    "sweep-noisy-past-float-range-of-bytes": ["sweep", "--n", "200", "--cap", "200",
+                                              "--c-grid", "1", "--noise", "0.01", "--trials", "1"],
+    "align-gc-missing": ["align", "--gc", "MISSING", "--gb", "K4"],
+    "sweep-config-directory": ["sweep", "--config", "TMP_DIR"],
+    "sweep-out-in-missing-directory": ["sweep", "--n", "4", "--trials", "1", "--c-grid", "1",
+                                       "--out", "IN_MISSING_DIR"],
 }
 
 
@@ -282,7 +306,8 @@ def test_malformed_lists_exit_2_without_traceback(case, tmp_path, capsys):
         argv = ["sweep", "--config", str(cfg_file)]
     for name in set(argv) & set(FILE_BYTES):
         (tmp_path / name).write_bytes(FILE_BYTES[name])
-    code, _, err = run_cli(capsys, *(str(tmp_path / a) if a in FILE_BYTES else a for a in argv))
+    paths = {**{name: name for name in FILE_BYTES}, **TMP_PATHS}
+    code, _, err = run_cli(capsys, *(str(tmp_path / paths[a]) if a in paths else a for a in argv))
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err

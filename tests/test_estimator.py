@@ -211,6 +211,9 @@ def test_scan_matches_row_major_oracle_on_every_pair_up_to_n4():
         for xa in labelings:
             for xb in labelings:
                 assert_scan_matches_oracle(xa, xb, n)
+                # complementing both graphs keeps every score
+                complemented = ea.hamming_scan(xa ^ 1, xb ^ 1, n)
+                assert np.array_equal(complemented, ea.hamming_scan(xa, xb, n))
 
 
 def test_scan_matches_row_major_oracle_on_every_reference_at_n5():
@@ -247,8 +250,8 @@ def test_scan_matches_row_major_oracle_on_benchmark_grids(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_scan_matches_row_major_oracle_on_extreme_densities(n):
-    # empty, complete and half-full references take the direct branch, the
-    # complement branch, and the boundary between them (2 * edges == t)
+    # empty, complete and half-full references: read as they are, read
+    # complemented, and the boundary between them (2 * edges == t)
     t = ea.pair_count(n)
     rng = rng_from_seed(8000 + n)
     graphs = [np.zeros(t, np.uint8), np.ones(t, np.uint8)]
@@ -1021,8 +1024,11 @@ def test_a_first_scan_holds_at_most_its_byte_count(n):
 
 NOISY = ea.PVec(0.4, 0.1, 0.1, 0.4)
 ZEROS6, ZEROS12 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 12))
-# each caller of perms.require_cap and model.require_bytes, with the words its message must hold
+# each caller of perms.require_cap and model.require_bytes, with the words its message must
+# hold, and the error it raises when that is not CapExceededError
 GUARDED = {
+    "hamming_scan-n0": (lambda: ea.hamming_scan(ZEROS6[:0], ZEROS6[:0], 0), "n must be >= 1",
+                        ParameterError),
     "enumerate_perms-cap": (lambda: next(ea.enumerate_perms(5, cap=4)), "cap 4"),
     "hamming_scan-cap": (lambda: ea.hamming_scan(ZEROS6, ZEROS6, 6, cap=5), "cap 5"),
     "automorphism_count-cap": (lambda: ea.automorphism_count(ea.Graph.empty(7), cap=6), "cap 6"),
@@ -1039,8 +1045,8 @@ def test_each_guard_names_its_limit(case, monkeypatch):
         raise AssertionError(f"lift table built for n={n}")
 
     monkeypatch.setattr(estimator, "_lift_table", no_build)
-    refused, words = GUARDED[case]
-    with pytest.raises(CapExceededError) as exc:
+    refused, words, *error = GUARDED[case]
+    with pytest.raises(error[0] if error else CapExceededError) as exc:
         refused()
     assert words in str(exc.value)
 
@@ -1052,6 +1058,9 @@ def test_guards_refuse_only_past_their_limit():
         ea.perms.require_cap(5, 4, "a scan")
     with pytest.raises(CapExceededError, match="a table needs 1.1 GB, over the 1073741824-byte budget"):
         estimator.require_bytes(estimator.SCAN_BYTE_BUDGET + 1, "a table")
+    with pytest.raises(CapExceededError, match="byte budget") as exc:
+        estimator.require_bytes(factorial(200), "x")  # past float range
+    assert len(str(exc.value)) < 200
 
 
 def test_isolated_count():
@@ -1113,3 +1122,22 @@ def test_posterior_ranking_matches_hamming_ranking():
         by_posterior = sorted(range(len(perms)), key=lambda k: (-posts[k], k))
         by_score = sorted(range(len(perms)), key=lambda k: (scores[k], k))
         assert by_posterior == by_score
+
+
+#: each entry point that takes two graphs, called on graphs of 4 and 5 vertices
+TWO_GRAPHS = {
+    "CorrelatedPair": ea.CorrelatedPair,
+    "intersection": ea.intersection,
+    "type_matrix": ea.type_matrix,
+    "delta_stat": lambda a, b: ea.delta_stat(range(ea.pair_count(a.n)), a, b),
+    "map_estimate": ea.map_estimate,
+    "scan_order": estimator.scan_order,
+    "q_set_size": ea.q_set_size,
+    "intersection_aut_check": ea.intersection_aut_check,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_GRAPHS))
+def test_two_graph_entry_points_refuse_differing_vertex_counts(case):
+    with pytest.raises(ParameterError, match="vertex counts differ: 4 vs 5"):
+        TWO_GRAPHS[case](ea.Graph.empty(4), ea.Graph.empty(5))

@@ -65,7 +65,7 @@ def test_pvec_from_line_is_exact_only_when_the_decimals_sum_to_1():
 
 
 @pytest.mark.parametrize("line", ["1e400,0,0,0", "0.5,0.5", "a,b,c,d", "nan,0,0,1", "1/0,0,0,1",
-                                  "1e400,-1e400,0,1"])
+                                  "1e400,-1e400,0,1", "0.5,0.5,,0"])
 def test_pvec_from_line_refuses_malformed_lines(line):
     with pytest.raises(ParameterError):
         ea.PVec.from_line(line)

@@ -20,6 +20,12 @@ def test_permutation_validation():
         ea.Permutation((0, 2))
 
 
+@pytest.mark.parametrize("text", ["1,,0", "0,a", "", "0,0"])
+def test_permutation_from_string_refuses_malformed_text(text):
+    with pytest.raises(ParameterError):
+        ea.Permutation.from_string(text)
+
+
 def test_permutation_compose_and_inverse():
     p = ea.Permutation((1, 2, 0))
     q = ea.Permutation((0, 2, 1))
