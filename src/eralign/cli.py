@@ -95,14 +95,14 @@ def _cmd_sweep(args) -> int:
         if getattr(args, key) is not None:
             d[key] = getattr(args, key)
     cfg = SweepConfig.from_dict(d)
+    if args.plot and not cfg.out:
+        raise ConfigError("--plot requires --out (or an out path in the config)")
     result = run_sweep(cfg)
     if result.path:
         print(result.path)
     else:
         sys.stdout.write(result.csv_text)
     if args.plot:
-        if not result.path:
-            raise ConfigError("--plot requires --out (or an out path in the config)")
         emit_plot(result.path, args.plot)
         print(args.plot)
     return 0

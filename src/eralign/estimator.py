@@ -299,12 +299,12 @@ def runner_up_distance(g: Graph, aut: int | None = None) -> int:
     """Smallest Hamming distance from g to its relabelling by a non-identity permutation.
 
     This is the second-smallest score of the scan of (g, g), found without
-    an n! table.  g and pi(g) have as many edges, so their distance is
-    2 |E - pi(E)|: even, and 0 only where pi is an automorphism.  The best
-    of the C(n, 2) transpositions bounds it.  A bound of 2 or less is the
-    answer if g is rigid, else the answer is 0; aut, |Aut(g)| when the
-    caller has counted it already (run_trial does), decides, else
-    refinement_aut_count.
+    an n! table, and 0 at n = 1.  g and pi(g) have as many edges, so their
+    distance is 2 |E - pi(E)|: even, and 0 only where pi is an
+    automorphism.  So it is 0 when aut, |Aut(g)| if the caller has counted
+    it already (run_trial does), exceeds 1.  Else the best of the C(n, 2)
+    transpositions bounds it.  A bound of 2 or less is the answer if g is
+    rigid, else the answer is 0; aut decides, else refinement_aut_count.
     Past that, the prefixes pi(0..j) are grown level by level, each keeping
     its partial distance over the pairs inside 0..j, and a prefix survives
     while that distance is below bound - 1.  Partial distances never fall
@@ -317,9 +317,11 @@ def runner_up_distance(g: Graph, aut: int | None = None) -> int:
     CapExceededError past SCAN_BYTE_BUDGET.  On 90 rigid graphs at n = 10,
     14 searched and the largest level counted 0.55 MB; at n = 11, 23 of 90
     searched and the largest counted 2.9 MB.  run_trial calls it only where
-    the scan fits, n <= 11.  Masks are uint16, so 2 <= n <= 16.
+    the scan fits, n <= 11.  Masks are uint16, so n <= 16.
     """
-    n = count("n", g.n, 2, ("16", 16))
+    n = count("n", g.n, 1, ("16", 16))
+    if n == 1 or (aut is not None and aut > 1):
+        return 0
     adj = np.zeros((n, n), dtype=np.uint16)
     ii, jj = pair_array(n)
     adj[ii, jj] = adj[jj, ii] = g.bits

@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import genfunc
 from .errors import ConfigError, ParameterError
 from .estimator import (automorphism_count, map_estimate, runner_up_distance, scan_fits, scan_order,
                         unit_fraction)
 from .genfunc import (
     WMatrix,
     bin_pgf,
+    block_gf,
     cycle_gf,
     cycle_gf_enum,
     double_type_sum,
@@ -209,10 +209,6 @@ class SweepConfig:
         except KeyError as exc:
             raise ConfigError(f"malformed sweep config: missing {exc}") from exc
 
-    @classmethod
-    def from_json_file(cls, path) -> "SweepConfig":
-        return cls.from_dict(read_config(path))
-
 
 def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: str = "") -> TrialResult:
     """One alignment trial: sample a pair and score its MAP alignment.
@@ -226,11 +222,11 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     An identical pair (every noiseless trial) is scored without a scan: the
     planted alignment scores 0, so Q is the coset of Aut(gb) through it and
     |Q| = |Aut(gb)|, which automorphism_count finds by a rigidity
-    certificate or by refinement.  The gap is 0 unless gb is rigid; then
-    it is half of runner_up_distance(gb), found where the scan would fit
-    and None past it, and that search is handed |Aut(gb)| = 1, so gb is
-    refined once per trial.  Noisy pairs are scanned in scan_order, so
-    past the scan's byte budget they raise CapExceededError.
+    certificate or by refinement.  The gap is half of
+    runner_up_distance(gb), found where the scan would fit and None past
+    it; that search is handed |Aut(gb)|, so gb is refined once per trial.
+    Noisy pairs are scanned in scan_order, so past the scan's byte budget
+    they raise CapExceededError.
     """
     t0 = time.perf_counter()
     require_cap(n, cap, "a trial")
@@ -238,12 +234,7 @@ def run_trial(n: int, p: PVec, seed: int, cap: int = DEFAULT_ENUM_CAP, cell_id: 
     gb = Graph(n, gb_bits)
     if np.array_equal(ga_bits, gb_bits):
         aut = automorphism_count(gb, cap=cap)
-        if not scan_fits(n):
-            gap = None
-        elif aut > 1 or n == 1:
-            gap = 0
-        else:
-            gap = runner_up_distance(gb, aut=aut) // 2
+        gap = runner_up_distance(gb, aut=aut) // 2 if scan_fits(n) else None
         q_size, strict, eta, gw = aut, aut == 1, unit_fraction(aut), gb
     else:
         ga = Graph(n, ga_bits)
@@ -353,11 +344,13 @@ def _parse_sweep_csv(path) -> List[Dict]:
                     f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}"
                 )
             r = dict(zip(CSV_COLUMNS, rec))
-            try:
-                rows.append({"n": int(r["n"]), "p11": float(r["p11"]), "trials": int(r["trials"]),
-                             "strict_rate": float(r["strict_rate"])})
+            try:  # count and real raise ParameterError, a ValueError
+                n, trials = (count(k, int(r[k]), low) for k, low in (("n", 2), ("trials", 1)))
+                p11, rate = (real(float(r[k]), lambda x: 0 <= x <= 1, f"{k} must be in [0, 1]")
+                             for k in ("p11", "strict_rate"))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
+            rows.append({"n": n, "p11": p11, "trials": trials, "strict_rate": rate})
     return rows
 
 
@@ -496,15 +489,9 @@ def _random_wmatrix(rnd: random.Random) -> WMatrix:
     )
 
 
-def verify_gf(depth: int = 8, block_impl=None) -> VerifyReport:
-    """Run the generating-function identity and inequality suites up to `depth`.
-
-    `block_impl` substitutes the block-partition closed form in the checks
-    that exercise it (used by mutation tests to confirm a broken form is
-    caught and named).
-    """
+def verify_gf(depth: int = 8) -> VerifyReport:
+    """Run the generating-function identity and inequality suites up to `depth`."""
     depth = count("depth", depth, 1, ("8", 8))
-    block = block_impl or genfunc.block_gf
     rnd = random.Random(0x5EED5)
     checks: List[CheckResult] = []
 
@@ -536,7 +523,7 @@ def verify_gf(depth: int = 8, block_impl=None) -> VerifyReport:
         for ell in range(1, depth + 1):
             x = _random_wmatrix(rnd)
             lhs = shift_type_sum(ell, x)
-            rhs = block(ell, x.trace, -x.det)
+            rhs = block_gf(ell, x.trace, -x.det)
             assert lhs == rhs, f"cycle length {ell}: shift-type sum != block closed form"
         return f"lengths 1..{depth}"
 

@@ -89,14 +89,6 @@ class LaurentPoly:
     def const(cls, q) -> "LaurentPoly":
         return cls({0: _frac(q)})
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls.const(1)
-
     def _z_only(self, what: str) -> None:
         if self._marked:
             raise DomainError(f"{what} needs a z-only polynomial, got (m, d) exponents")
@@ -111,9 +103,6 @@ class LaurentPoly:
         """Terms in ascending exponent order; exponents are (m, d) pairs when marked."""
         terms = sorted(self._c.items())
         return tuple((_unpack(e), q) for e, q in terms) if self._marked else tuple(terms)
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     @property
     def min_exp(self) -> int:
@@ -226,21 +215,6 @@ class LaurentPoly:
         for (m, _), q in self.items():
             out[m] = out.get(m, Fraction(0)) + q
         return out
-
-    def to_text(self) -> str:
-        """Golden-file form: 'exp:coeff' pairs, exponent-ascending, coeff as p/q."""
-        self._z_only("to_text")
-        if not self._c:
-            return "0:0/1"
-        return " ".join(f"{e}:{q.numerator}/{q.denominator}" for e, q in self.items())
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentPoly":
-        c: Dict[int, Fraction] = {}
-        for tok in text.split():
-            e_str, q_str = tok.split(":")
-            c[int(e_str)] = Fraction(q_str)
-        return cls(c)
 
     def __repr__(self):
         if not self._c:

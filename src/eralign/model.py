@@ -322,10 +322,6 @@ class CorrelatedPair:
     def __post_init__(self):
         common_n(self.ga, self.gb)
 
-    @property
-    def n(self) -> int:
-        return self.ga.n
-
 
 @dataclass(frozen=True)
 class TypeMatrix:

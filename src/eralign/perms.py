@@ -8,7 +8,6 @@ which is all the generating-function layer ever needs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +55,6 @@ class Permutation:
     def moved(self) -> int:
         """Number of non-fixed vertices (n-tilde)."""
         return sum(1 for i, img in enumerate(self.images) if img != i)
-
-    def is_identity(self) -> bool:
-        return self.moved == 0
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -166,15 +162,12 @@ def cycle_type(tau) -> CycleType:
     return CycleType.from_mapping(counts, size=m)
 
 
-@functools.lru_cache(maxsize=None)
 def derangements(k: int) -> int:
-    """Permutations of [k] with no fixed point, via the standard recurrence."""
-    k = count("k", k, 0)
-    if k == 0:
-        return 1
-    if k == 1:
-        return 0
-    return (k - 1) * (derangements(k - 1) + derangements(k - 2))
+    """Permutations of [k] with no fixed point, by D(j) = j D(j-1) + (-1)^j, D(0) = 1."""
+    d = 1
+    for j in range(1, count("k", k, 0) + 1):
+        d = j * d - 1 if j & 1 else j * d + 1
+    return d
 
 
 def count_support(n: int, n_tilde: int) -> int:

@@ -141,6 +141,10 @@ def test_edges_conditioned_no_information_at_m0():
     rep = ea.edges_conditioned_bound(100, 0, ea.PVec(0.03, 0.001, 0.001, 0.968), 2)
     assert rep.value == 1.0
     assert rep.uninformative
+    # nor at p11 = 1, where the bound is not evaluated and flagged invalid
+    rep = ea.edges_conditioned_bound(100, 3, ea.PVec(1, 0, 0, 0), 2)
+    assert rep.value == 1.0 and rep.uninformative and not rep.valid
+    assert rep.notes == "degenerate p11 = 1"
 
 
 def test_edges_conditioned_eps2_formula():
@@ -283,6 +287,11 @@ def test_classify_negative_correlation_unclassified():
     verdict = ea.classify(1000, ea.PVec(0.1, 0.35, 0.35, 0.2))
     assert verdict.region == "unclassified"
     assert not verdict.positive_correlation
+    # p11 * p00 = 0 leaves the sparse correlation ratio undefined, and it fails
+    for p in (ea.PVec(0, 0, 0, 1), ea.PVec(0.5, 0.25, 0.25, 0)):
+        verdict = ea.classify(1000, p)
+        assert verdict.region == "unclassified"
+        assert verdict.conditions["sparse-corr"] is False
 
 
 def test_classify_never_claims_converse_and_achievable():

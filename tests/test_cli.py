@@ -448,6 +448,18 @@ def test_sweep_refuses_a_huge_n_before_sampling(capsys):
             assert "Traceback" not in err
 
 
+def test_sweep_refuses_a_plot_without_out_before_running(capsys):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    with mock.patch("eralign.cli.run_sweep", no_sweep):
+        code, out, err = run_cli(capsys, "sweep", "--n", "5", "--trials", "3", "--c-grid", "1,2",
+                                 "--plot", "x.svg")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--plot requires --out" in err
+
+
 def test_noisy_sweep_runs_at_n11_and_is_refused_at_n12(capsys):
     # n = 11 is the largest n whose scan fits the byte budget
     flags = ["--trials", "1", "--c-grid", "1", "--noise", "0.02", "--seed", "7"]

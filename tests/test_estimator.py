@@ -1,6 +1,7 @@
 """Exhaustive MAP estimation, Q-set counting, automorphisms."""
 
 import functools
+import itertools
 import sys
 import threading
 import time
@@ -57,7 +58,7 @@ def test_map_path_two_minimizers():
     res = ea.map_estimate(PATH3, PATH3)
     assert res.min_delta_hamming == 0
     assert res.tie_count == 2
-    assert res.best_perm.is_identity()  # first minimizer in lex order
+    assert res.best_perm.moved == 0  # first minimizer in lex order
 
 
 def test_map_recovers_planted_on_rigid_graph():
@@ -771,11 +772,14 @@ def test_runner_up_distance_on_sampled_rigid_graphs(n):
 def test_runner_up_distance_on_every_labelled_graph_up_to_n6():
     # rigid or not: a non-rigid graph's second-smallest self-score is 0.  This
     # cannot tell the search from one that prunes at bound - 2 or takes its exit
-    # up to a bound of 4; the bound-4 test above can
+    # up to a bound of 4; the bound-4 test above can.  Given |Aut|, the scan's
+    # zero count, a non-rigid graph answers 0 at once
+    assert estimator.runner_up_distance(ea.Graph.empty(1)) == 0  # no other permutation
     for n in range(2, 7):
-        labellings, _, runner_up = self_scans(n)
-        for x, want in zip(labellings, runner_up):
+        labellings, zeros, runner_up = self_scans(n)
+        for x, aut, want in zip(labellings, zeros, runner_up):
             assert estimator.runner_up_distance(ea.Graph(n, x)) == want, (n, x)
+            assert estimator.runner_up_distance(ea.Graph(n, x), aut=aut) == want, (n, x)
 
 
 def test_runner_up_search_refuses_past_the_byte_budget(monkeypatch):
@@ -877,6 +881,31 @@ def test_refinement_count_known_groups_past_the_scan():
         10, [(0, 4), (4, 5), (5, 0), (6, 7), (7, 9), (9, 6), (1, 2), (2, 3), (3, 8), (8, 1)]
     )
     assert ea.refinement_aut_count(two_triangles_square) == 6 * 6 * 2 * 8
+
+
+def graph_of(vertices, adjacent):
+    """The graph on the listed vertices, in order, with an edge wherever adjacent(u, v)."""
+    vs = list(vertices)
+    pairs = itertools.combinations(range(len(vs)), 2)
+    return ea.Graph.from_edges(len(vs), [(i, j) for i, j in pairs if adjacent(vs[i], vs[j])])
+
+
+def test_refinement_count_where_refinement_splits_nothing():
+    # strongly regular graphs: every vertex has the same walk hash and colour
+    # refinement splits no cell, so the search alone tells the orbits apart
+    z4 = list(itertools.product(range(4), repeat=2))
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = graph_of(z4, lambda u, v: ((u[0] - v[0]) % 4, (u[1] - v[1]) % 4) in steps)
+    rook = graph_of(z4, lambda u, v: (u[0] == v[0]) != (u[1] == v[1]))  # K4 x K4
+    clebsch = graph_of(range(16), lambda u, v: (u ^ v).bit_count() in (1, 4))  # folded 5-cube
+    paley13 = graph_of(range(13), lambda u, v: (u - v) % 13 in {1, 3, 4, 9, 10, 12})
+    # the union's search also backs out of nodes with no automorphism below them
+    cases = ((shrikhande, 192), (rook, 1152), (clebsch, 1920), (paley13, 78),
+             (disjoint_union(rook, shrikhande), 1152 * 192))
+    for g, want in cases:
+        assert estimator._walk_hash(g)[1] == 1
+        for h in (g, ea.Graph(g.n, 1 - g.bits)):
+            assert ea.refinement_aut_count(h) == want, h.to_line()
 
 
 def test_automorphism_count_past_the_scan():
@@ -1029,6 +1058,8 @@ ZEROS6, ZEROS12 = (np.zeros(ea.pair_count(n), dtype=np.uint8) for n in (6, 12))
 GUARDED = {
     "hamming_scan-n0": (lambda: ea.hamming_scan(ZEROS6[:0], ZEROS6[:0], 0), "n must be >= 1",
                         ParameterError),
+    "hamming_scan-length": (lambda: ea.hamming_scan(ZEROS6[:-1], ZEROS6, 6), "do not match n",
+                            ParameterError),
     "enumerate_perms-cap": (lambda: next(ea.enumerate_perms(5, cap=4)), "cap 4"),
     "hamming_scan-cap": (lambda: ea.hamming_scan(ZEROS6, ZEROS6, 6, cap=5), "cap 5"),
     "automorphism_count-cap": (lambda: ea.automorphism_count(ea.Graph.empty(7), cap=6), "cap 6"),

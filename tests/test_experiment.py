@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eralign as ea
-from eralign import estimator, genfunc
+from eralign import estimator, experiment, genfunc
 from eralign.errors import CapExceededError, ConfigError, ParameterError
 from eralign.experiment import (
     CGrid,
@@ -20,6 +20,7 @@ from eralign.experiment import (
     SubsamplingGrid,
     SweepConfig,
     emit_plot,
+    read_config,
     run_sweep,
     run_trial,
     verify_gf,
@@ -337,7 +338,7 @@ def test_sweep_config_from_dict_round_trip(tmp_path):
     assert cfg.grid == CGrid((0.5, 1.0), 0.01)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
-    assert SweepConfig.from_json_file(path) == cfg
+    assert SweepConfig.from_dict(read_config(path)) == cfg
 
 
 def test_sweep_config_validation():
@@ -424,11 +425,13 @@ def test_emit_plot_header_mismatch(tmp_path):
 
 def test_emit_plot_bad_value_reports_line(tmp_path):
     bad = tmp_path / "bad2.csv"
-    bad.write_text(
-        CSV_HEADER + "\n6,0.1,0.0,0.0,0.9,4,zap,0.0,1.0,1.0,2\n"
-    )
-    with pytest.raises(ConfigError, match="line 2"):
-        emit_plot(bad, tmp_path / "x.svg")
+    # a bad value, n = 1 and n = 0, then p11 = nan, strict_rate = inf and trials = -3
+    for row in ("6,0.1,0.0,0.0,0.9,4,zap,0.0,1.0,1.0,2", "1,0.1,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2",
+                "0,0.1,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2", "6,nan,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2",
+                "6,0.1,0.0,0.0,0.9,4,inf,0.0,1.0,1.0,2", "6,0.1,0.0,0.0,0.9,-3,0.5,0.0,1.0,1.0,2"):
+        bad.write_text(CSV_HEADER + "\n" + row + "\n")
+        with pytest.raises(ConfigError, match="line 2"):
+            emit_plot(bad, tmp_path / "x.svg")
 
 
 def test_emit_plot_field_count(tmp_path):
@@ -469,11 +472,12 @@ def test_verify_gf_depth_validation():
         verify_gf(depth=0)
 
 
-def test_verify_gf_catches_mutated_block_form():
+def test_verify_gf_catches_mutated_block_form(monkeypatch):
     def sign_flipped(ell, u, v):
         return -genfunc.block_gf(ell, u, v)
 
-    report = verify_gf(depth=2, block_impl=sign_flipped)
+    monkeypatch.setattr(experiment, "block_gf", sign_flipped)
+    report = verify_gf(depth=2)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.passed}
     assert "shift-type-vs-block" in failed

@@ -33,7 +33,7 @@ def test_laurent_basics():
     assert p.total() == 16
     assert p.lower_tail(0) == 14
     assert p.evaluate(F(1, 2)) == 2 * 2 + 12 + 1
-    assert (p - p).is_zero()
+    assert p - p == 0
 
 
 def test_laurent_strips_zeros():
@@ -51,14 +51,6 @@ def test_laurent_eval_zero_with_negative_exponent():
     p = LaurentPoly({-1: F(1)})
     with pytest.raises(DomainError):
         p.evaluate(0)
-
-
-def test_laurent_text_round_trip():
-    p = LaurentPoly({-2: F(1, 3), 0: F(-7, 2), 5: F(4)})
-    text = p.to_text()
-    assert text == "-2:1/3 0:-7/2 5:4/1"
-    assert LaurentPoly.from_text(text) == p
-    assert LaurentPoly.from_text(LaurentPoly.zero().to_text()).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +179,7 @@ def test_perm_gf_identity_census():
     w = ea.WMatrix(F(1, 2), F(1, 3), F(1, 5), F(1, 7))
     ct = ea.CycleType.from_mapping({1: 6})
     assert ea.perm_gf(ct, w) == LaurentPoly.const(w.total() ** 6)
-    assert ea.nontrivial_gf(ct, w) == LaurentPoly.one()
+    assert ea.nontrivial_gf(ct, w) == LaurentPoly.const(1)
 
 
 def test_perm_gf_two_cycle_plus_fixed():
@@ -360,9 +352,9 @@ def test_chernoff_tail_domain_errors():
     with pytest.raises(DomainError):
         ea.chernoff_tail(g, 0, F(1, 2))
     with pytest.raises(DomainError):
-        ea.chernoff_tail(LaurentPoly.one(), 0, F(3, 2))
+        ea.chernoff_tail(LaurentPoly.const(1), 0, F(3, 2))
     with pytest.raises(DomainError):
-        ea.chernoff_tail(LaurentPoly.one(), 0, 0)
+        ea.chernoff_tail(LaurentPoly.const(1), 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,7 +467,7 @@ def test_items_shape_of_each_kind():
 def test_z_only_methods_refuse_marked_polynomials():
     jp = ea.joint_pmf(ea.CycleType.from_mapping({2: 1}), ea.PVec.uniform())
     for call in (lambda: jp.evaluate(F(1, 2)), lambda: jp.lower_tail(0),
-                 lambda: jp.min_exp, jp.has_nonneg_coeffs, jp.to_text, lambda: jp.coeff(0)):
+                 lambda: jp.min_exp, jp.has_nonneg_coeffs, lambda: jp.coeff(0)):
         with pytest.raises(DomainError):
             call()
     with pytest.raises(DomainError):

@@ -436,10 +436,14 @@ GATED = {
     "Graph-label-nan": (lambda: ea.Graph(2, [math.nan]), ParameterError, "labels"),
     "TypeMatrix-float": (lambda: ea.TypeMatrix(1.5, 0, 0, 0), ParameterError, "k00"),
     "pair_index-float": (lambda: pair_index(0, 1.5, 3), ParameterError, "j"),
+    "pair_index-same-vertex": (lambda: pair_index(1, 1, 3), ParameterError, "pair"),
     "sample_pair-n-float": (lambda: ea.sample_pair(3.0, P_HALF, 0), ParameterError, "n"),
     "sample_pair-seed-float": (lambda: ea.sample_pair(3, P_HALF, 1.5), ParameterError, "seed"),
     "run_trial-n-float": (lambda: ea.run_trial(5.0, P_HALF, 0), ParameterError, "n"),
     "hamming_scan-n-float": (lambda: ea.hamming_scan(ZEROS3, ZEROS3, 3.0), ParameterError, "n"),
+    "map_estimate-planted-size": (lambda: ea.map_estimate(ea.Graph.empty(3), ea.Graph.empty(3),
+                                                          ea.Permutation.identity(4)),
+                                  ParameterError, "planted"),
     "lex_unrank-rank-float": (lambda: ea.perms.lex_unrank(1.0, 3), ParameterError, "rank"),
     "count_support-float": (lambda: ea.count_support(5, 2.5), ParameterError, "n_tilde"),
     "perm_gf_check-n-0": (lambda: ea.perm_gf_check(0, 0), ParameterError, "n"),
