@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -97,6 +98,11 @@ def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_dict(d)
     if args.plot and not cfg.out:
         raise ConfigError("--plot requires --out (or an out path in the config)")
+    for path in filter(None, (cfg.out, args.plot)):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
     result = run_sweep(cfg)
     if result.path:
         print(result.path)

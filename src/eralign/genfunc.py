@@ -2,10 +2,9 @@
 
 Everything here is exact rational arithmetic.  The central objects:
 
-* ``LaurentPoly`` -- sparse polynomial with Fraction coefficients, in z
-  alone (int exponents, possibly negative) or in a count marker and z
-  ((m, d) exponents; m counts (1,1)-labeled positions inside nontrivial
-  cycles).  z tracks the alignment score change of a relabeling.
+* ``LaurentPoly`` -- sparse polynomial in z with Fraction coefficients
+  and int exponents (possibly negative).  z tracks the alignment score
+  change of a relabeling.
 * ``cycle_gf(l, w)`` -- weighted enumeration of all label pairs on one
   l-cycle, with matrix weights w tracking the joint type and z tracking
   the score change.  ``cycle_gf_enum`` computes the same thing by direct
@@ -36,115 +35,68 @@ ENUM_CAP = 10
 
 Scalar = Union[int, Fraction]
 
-# a marked exponent (m, d) is stored as the int key m * 2^32 + d, |d| < 2^31
-_HALF = 1 << 31
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise ParameterError(f"exact rational required, got {type(x).__name__} {x!r}")
 
 
-def _pack(m: int, d: int) -> int:
-    m = count("marker exponent", m, 0)
-    return (m << 32) + count("z exponent", d, -_HALF, ("2^31 - 1", _HALF - 1))
-
-
-def _unpack(key: int) -> Tuple[int, int]:
-    m = (key + _HALF) >> 32
-    return m, key - (m << 32)
-
-
 class LaurentPoly:
-    """Sparse exact-rational polynomial in z, optionally also in a count marker.
+    """Sparse exact-rational polynomial in z; exponents are ints, possibly negative."""
 
-    Exponents are ints (z only, possibly negative) or, for a marked
-    polynomial, pairs (m, d) of a marker exponent m >= 0 and a z exponent d.
-    Both kinds store int keys, (m, d) as m * 2^32 + d, so they share one
-    addition, multiplication and power path.  A z-only key d is the marked
-    key (0, d): combining the two kinds gives the marked kind.
-    """
+    __slots__ = ("_c",)
 
-    __slots__ = ("_c", "_marked")
-
-    def __init__(self, coeffs: Dict[Union[int, Tuple[int, int]], Scalar] | None = None):
-        coeffs = coeffs or {}
-        self._marked = any(isinstance(e, tuple) for e in coeffs)
+    def __init__(self, coeffs: Dict[int, Scalar] | None = None):
         self._c = {}
-        for e, q in coeffs.items():
+        for e, q in (coeffs or {}).items():
             q = _frac(q)
             if q:
-                self._c[_pack(*e) if self._marked else count("z exponent", e)] = q
+                self._c[count("z exponent", e)] = q
 
     @classmethod
-    def _of(cls, c: Dict[int, Fraction], marked: bool) -> "LaurentPoly":
+    def _of(cls, c: Dict[int, Fraction]) -> "LaurentPoly":
         """Wrap int keys and Fraction coefficients, dropping zero terms."""
         out = object.__new__(cls)
         out._c = {e: q for e, q in c.items() if q}
-        out._marked = marked
         return out
 
     @classmethod
     def const(cls, q) -> "LaurentPoly":
         return cls({0: _frac(q)})
 
-    def _z_only(self, what: str) -> None:
-        if self._marked:
-            raise DomainError(f"{what} needs a z-only polynomial, got (m, d) exponents")
+    def coeff(self, exp: int) -> Fraction:
+        return self._c.get(exp, Fraction(0))
 
-    def coeff(self, *exp: int) -> Fraction:
-        """The coefficient at d (z only) or at (m, d) (marked)."""
-        if len(exp) != 1 + self._marked:
-            raise DomainError(f"expected {1 + self._marked} exponent(s), got {exp}")
-        return self._c.get(_pack(*exp) if self._marked else exp[0], Fraction(0))
-
-    def items(self) -> Tuple[Tuple[Union[int, Tuple[int, int]], Fraction], ...]:
-        """Terms in ascending exponent order; exponents are (m, d) pairs when marked."""
-        terms = sorted(self._c.items())
-        return tuple((_unpack(e), q) for e, q in terms) if self._marked else tuple(terms)
+    def items(self) -> Tuple[Tuple[int, Fraction], ...]:
+        """Terms in ascending exponent order."""
+        return tuple(sorted(self._c.items()))
 
     @property
     def min_exp(self) -> int:
-        self._z_only("min_exp")
         if not self._c:
             raise DomainError("zero polynomial has no exponent range")
         return min(self._c)
 
-    def _span(self) -> int:
-        """The largest |z exponent|."""
-        if self._marked:
-            return max((abs(_unpack(e)[1]) for e in self._c), default=0)
-        return max(map(abs, self._c), default=0)
-
-    def _operand(self, other, factor: int):
-        """(other as a polynomial, whether the result is marked), or (None, False).
-
-        Raises where a marked result's z exponents (at most `factor` times the
-        operands' largest) could leave the packed range and carry into m.
-        """
+    @staticmethod
+    def _operand(other):
+        """other as a polynomial, or None where it is neither one nor a rational."""
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly._of({0: Fraction(other)}, self._marked)
-        elif not isinstance(other, LaurentPoly):
-            return None, False
-        marked = self._marked or other._marked
-        if marked and factor * max(self._span(), other._span()) >= _HALF:
-            raise DomainError("z exponents leave the packed range of a marked polynomial")
-        return other, marked
+            return LaurentPoly._of({0: Fraction(other)})
+        return other if isinstance(other, LaurentPoly) else None
 
     def __add__(self, other):
-        other, marked = self._operand(other, 1)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         c = dict(self._c)
         for e, q in other._c.items():
             c[e] = c[e] + q if e in c else q
-        return LaurentPoly._of(c, marked)
+        return LaurentPoly._of(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._of({e: -q for e, q in self._c.items()}, self._marked)
+        return LaurentPoly._of({e: -q for e, q in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -153,7 +105,7 @@ class LaurentPoly:
         return -self + other
 
     def __mul__(self, other):
-        other, marked = self._operand(other, 2)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         c: Dict[int, Fraction] = {}
@@ -161,13 +113,13 @@ class LaurentPoly:
             for e2, q2 in other._c.items():
                 e = e1 + e2
                 c[e] = c[e] + q1 * q2 if e in c else q1 * q2
-        return LaurentPoly._of(c, marked)
+        return LaurentPoly._of(c)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         k = count("power", k, 0)
-        result = LaurentPoly._of({0: Fraction(1)}, self._marked)
+        result = LaurentPoly.const(1)
         base = self
         while k:
             if k & 1:
@@ -177,15 +129,13 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly._of({0: Fraction(other)}, self._marked)
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self._marked == other._marked and self._c == other._c
+        return self._c == other._c
 
     def evaluate(self, z):
         """Exact evaluation; z must be nonzero if negative exponents occur."""
-        self._z_only("evaluate")
         if not self._c:
             return Fraction(0)
         if z == 0 and self.min_exp < 0:
@@ -197,32 +147,18 @@ class LaurentPoly:
 
     def lower_tail(self, j: int) -> Fraction:
         """Sum of coefficients with exponent <= j."""
-        self._z_only("lower_tail")
         return sum((q for e, q in self._c.items() if e <= j), Fraction(0))
 
     def total(self) -> Fraction:
         return sum(self._c.values(), Fraction(0))
 
     def has_nonneg_coeffs(self) -> bool:
-        self._z_only("has_nonneg_coeffs")
         return all(q >= 0 for q in self._c.values())
-
-    def marker_marginal(self) -> Dict[int, Fraction]:
-        """Sum over z exponents at each marker exponent."""
-        if not self._marked:
-            raise DomainError("marker_marginal needs (m, d) exponents")
-        out: Dict[int, Fraction] = {}
-        for (m, _), q in self.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return out
 
     def __repr__(self):
         if not self._c:
             return "LaurentPoly(0)"
-        if self._marked:
-            parts = [f"{q}*w^{m}*z^{d}" for (m, d), q in self.items()]
-        else:
-            parts = [f"{q}*z^{e}" if e else f"{q}" for e, q in self.items()]
+        parts = [f"{q}*z^{e}" if e else f"{q}" for e, q in self.items()]
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
@@ -420,7 +356,7 @@ def perm_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
 
 def _census_product(ct: CycleType, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
     """Product of block_gf(l, u, v) ** t_l over the cycle lengths l >= 2 of ct."""
-    out = u**0  # the one polynomial of u's kind
+    out = LaurentPoly.const(1)
     for ell, t_ell in ct.items():
         if ell >= 2:
             out = out * block_gf(ell, u, v) ** t_ell
@@ -436,19 +372,28 @@ def nontrivial_gf(ct: CycleType, w: WMatrix) -> LaurentPoly:
     return _census_product(ct, LaurentPoly.const(w.total()), score_weight_poly(w))
 
 
-def joint_pmf(ct: CycleType, p: PVec) -> LaurentPoly:
+def joint_pmf(ct: CycleType, p: PVec) -> Dict[Tuple[int, int], Fraction]:
     """Exact joint law of (count of (1,1) pairs in nontrivial cycles, score change).
 
-    Built by marking the (1,1) weight in every cycle factor of length >= 2;
-    coefficient (m, d) of the marked polynomial is the probability of seeing
-    m matched edges in the nontrivial region together with score change d.
+    Built by marking the (1,1) weight in every cycle factor of length >= 2.
+    The marker w is substituted as z^s with s = 2*t_tilde + 1 (Kronecker), so
+    one z-polynomial product carries both exponents: every term has
+    0 <= m <= t_tilde and |d| <= t_tilde / 2, so m*s + d fixes (m, d).
+    Returns {(m, d): probability of m matched edges in the nontrivial region
+    together with score change d}, zero terms dropped, in ascending order.
     """
+    t = ct.t_tilde
+    s = 2 * t + 1
     p11, p10, p01, p00 = p.as_fractions()
-    u = LaurentPoly({(1, 0): p11, (0, 0): p00 + p01 + p10})
+    u = LaurentPoly({s: p11, 0: p00 + p01 + p10})
     a = p00 * p11
     b = p01 * p10
-    v = LaurentPoly({(1, 1): a, (1, 0): -a, (0, -1): b, (0, 0): -b})
-    return _census_product(ct, u, v)
+    v = LaurentPoly({s + 1: a, s: -a, -1: b, 0: -b})
+    out = {}
+    for e, q in _census_product(ct, u, v).items():
+        m, d = divmod(e + t, s)
+        out[(m, d - t)] = q
+    return out
 
 
 def hyp_pgf(a: int, b: int, n: int) -> LaurentPoly:

@@ -460,6 +460,27 @@ def test_sweep_refuses_a_plot_without_out_before_running(capsys):
     assert err.startswith("error:") and "--plot requires --out" in err
 
 
+def test_sweep_refuses_an_unwritable_out_or_plot_before_running(capsys, tmp_path):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    missing = str(tmp_path / "missing")
+    cases = (
+        (["--out", f"{missing}/x.csv"], "no directory"),
+        (["--out", str(tmp_path)], "is a directory"),
+        (["--out", str(tmp_path / "x.csv"), "--plot", f"{missing}/x.svg"], "no directory"),
+        (["--out", str(tmp_path / "x.csv"), "--plot", str(tmp_path)], "is a directory"),
+    )
+    with mock.patch("eralign.cli.run_sweep", no_sweep):
+        for flags, reason in cases:
+            code, out, err = run_cli(capsys, "sweep", "--n", "5", "--trials", "3",
+                                     "--c-grid", "1,2", *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noisy_sweep_runs_at_n11_and_is_refused_at_n12(capsys):
     # n = 11 is the largest n whose scan fits the byte budget
     flags = ["--trials", "1", "--c-grid", "1", "--noise", "0.02", "--seed", "7"]

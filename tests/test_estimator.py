@@ -900,8 +900,15 @@ def test_refinement_count_where_refinement_splits_nothing():
     clebsch = graph_of(range(16), lambda u, v: (u ^ v).bit_count() in (1, 4))  # folded 5-cube
     paley13 = graph_of(range(13), lambda u, v: (u - v) % 13 in {1, 3, 4, 9, 10, 12})
     # the union's search also backs out of nodes with no automorphism below them
+    # three cubic 8-vertex components, the outer two isomorphic with |Aut| 4 and the
+    # middle one with |Aut| 16: a search that gives up a cell early counts half
+    cubic = ea.Graph.from_edges(24, [
+        (0, 1), (0, 2), (0, 5), (1, 3), (1, 7), (2, 4), (2, 7), (3, 6), (3, 7), (4, 5), (4, 6),
+        (5, 6), (8, 9), (8, 14), (8, 15), (9, 11), (9, 13), (10, 13), (10, 14), (10, 15),
+        (11, 12), (11, 14), (12, 13), (12, 15), (16, 17), (16, 18), (16, 21), (17, 19),
+        (17, 23), (18, 20), (18, 23), (19, 22), (19, 23), (20, 21), (20, 22), (21, 22)])
     cases = ((shrikhande, 192), (rook, 1152), (clebsch, 1920), (paley13, 78),
-             (disjoint_union(rook, shrikhande), 1152 * 192))
+             (disjoint_union(rook, shrikhande), 1152 * 192), (cubic, 4 * 4 * 16 * 2))
     for g, want in cases:
         assert estimator._walk_hash(g)[1] == 1
         for h in (g, ea.Graph(g.n, 1 - g.bits)):
