@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import bounds as bnd
 from .errors import USAGE_ERRORS, ConfigError
 from .estimator import automorphism_count, isolated_count, map_estimate
-from .experiment import SweepConfig, read_config, read_text, emit_plot, run_sweep, verify_gf
+from .experiment import (SweepConfig, emit_plot, read_config, read_text, require_writable, run_sweep,
+                         verify_gf)
 from .genfunc import WMatrix
 from .model import (
     Graph,
@@ -96,21 +97,19 @@ def _cmd_sweep(args) -> int:
         if getattr(args, key) is not None:
             d[key] = getattr(args, key)
     cfg = SweepConfig.from_dict(d)
-    if args.plot and not cfg.out:
-        raise ConfigError("--plot requires --out (or an out path in the config)")
-    for path in filter(None, (cfg.out, args.plot)):
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {path}: it is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+    if args.plot is not None:
+        require_writable(args.plot)
+        if cfg.out is not None and os.path.realpath(args.plot) == os.path.realpath(cfg.out):
+            raise ConfigError(f"cannot write {args.plot}: it is also the sweep's out path")
     result = run_sweep(cfg)
-    if result.path:
-        print(result.path)
-    else:
+    if result.path is None:
         sys.stdout.write(result.csv_text)
-    if args.plot:
-        emit_plot(result.path, args.plot)
-        print(args.plot)
+    else:
+        print(result.path)
+    if args.plot is not None:
+        emit_plot(result.rows, args.plot)
+        if result.path is not None:
+            print(args.plot)
     return 0
 
 

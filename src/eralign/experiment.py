@@ -8,8 +8,6 @@ parallel runs produce byte-identical CSV output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import random
@@ -139,6 +137,18 @@ def read_text(path, what: str) -> str:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def require_writable(path) -> None:
+    """Refuse with ConfigError a non-path, an empty path, a directory or a path in a missing one."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"out must be a path, got {path!r}")
+    if not os.fspath(path):
+        raise ConfigError("cannot write '': an empty path names no file")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+
+
 def read_config(path) -> Dict:
     """The JSON object in the file at path; anything else raises ConfigError."""
     try:
@@ -164,8 +174,8 @@ class SweepConfig:
         for name, low in (("trials", 1), ("n", 2), ("threads", 1), ("cap", 1)):
             count(name, getattr(self, name), low, error=ConfigError)
         count("seed", self.seed, 0, ("2^64 - 1", _MASK64), error=ConfigError)
-        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigError(f"out must be a path, got {self.out!r}")
+        if self.out is not None:
+            require_writable(self.out)
 
     def cells(self) -> List[SweepCell]:
         return self.grid.cells(self.n)
@@ -305,7 +315,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     lines = [CSV_HEADER] + [",".join(repr(r[k]) for k in CSV_COLUMNS) for r in rows]
     csv_text = "\n".join(lines) + "\n"
     path = None
-    if cfg.out:
+    if cfg.out is not None:
         path = str(cfg.out)
         with open(path, "w", newline="") as fh:
             fh.write(csv_text)
@@ -326,42 +336,13 @@ _VIEW_W, _VIEW_H = 800, 600
 _ML, _MR, _MT, _MB = 70, 150, 40, 60
 
 
-def _parse_sweep_csv(path) -> List[Dict]:
-    with io.StringIO(read_text(path, "sweep CSV"), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"line 1: empty CSV {path}")
-        if tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise ConfigError(f"line 1: header mismatch, expected {CSV_HEADER!r}")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) != len(CSV_COLUMNS):
-                raise ConfigError(
-                    f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(rec)}"
-                )
-            r = dict(zip(CSV_COLUMNS, rec))
-            try:  # count and real raise ParameterError, a ValueError
-                n, trials = (count(k, int(r[k]), low) for k, low in (("n", 2), ("trials", 1)))
-                p11, rate = (real(float(r[k]), lambda x: 0 <= x <= 1, f"{k} must be in [0, 1]")
-                             for k in ("p11", "strict_rate"))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            rows.append({"n": n, "p11": p11, "trials": trials, "strict_rate": rate})
-    return rows
-
-
-def emit_plot(csv_path, out_path) -> str:
-    """Render a sweep CSV as a self-contained SVG threshold plot.
+def emit_plot(rows, out_path) -> str:
+    """Render sweep rows (dicts with n, p11 and strict_rate) as an SVG threshold plot.
 
     x is p11 * n / ln(n) (so the predicted threshold sits at x = 1, marked
     by a dashed reference line), y is the strict recovery rate, one
     polyline per n.
     """
-    rows = _parse_sweep_csv(csv_path)
     pts_by_n: Dict[int, List[Tuple[float, float]]] = {}
     for r in rows:
         x = r["p11"] * r["n"] / log(r["n"])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import eralign as ea
-from eralign.experiment import CGrid, SweepConfig, run_sweep
+from eralign.experiment import CGrid, SweepConfig, emit_plot, run_sweep
 from eralign.model import rng_from_seed
 
 # 10-point positive-correlation grid, strictly positive entries, exact
@@ -351,6 +351,12 @@ REFERENCE_CSV_SHA256 = {
     16: "9155d3abe09cbfd15c2300bc8ece5ead19666791b086cbf3c6df830b9032e87d",
     8: "9a92b57a721650daaada86a9f9af2613325b8da73e218d9870b2218a50036c95",
 }
+#: SHA-256 of each reference sweep's `--plot` SVG, drawn from its rows
+REFERENCE_SVG_SHA256 = {
+    9: "a5a870956f6b3ba4b597aeca51f2e75ee4b52aab8e8e5d6663f95282a9657e75",
+    16: "542ad9a5bd9d7bb1e6926124a9c7915956aba3407bf9fdc7a400c49eb43d1df1",
+    8: "22f4c7592687f9a5b27314950adf6549a9436d3f7d27290ed4d9ea30d808a52d",
+}
 
 
 def test_reference_sweep_csvs_keep_their_bytes(threshold_sweep, threshold_sweep_n16, tmp_path):
@@ -360,3 +366,6 @@ def test_reference_sweep_csvs_keep_their_bytes(threshold_sweep, threshold_sweep_
     for n, result in results.items():
         digest = hashlib.sha256(result.csv_text.encode()).hexdigest()
         assert digest == REFERENCE_CSV_SHA256[n], n
+        svg_path = tmp_path / f"threshold_n{n}.svg"
+        emit_plot(result.rows, svg_path)
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == REFERENCE_SVG_SHA256[n], n

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 import eralign as ea
 from eralign import estimator
-from eralign.cli import main
+from eralign.cli import build_parser, main
 from eralign.experiment import CGrid, SweepConfig, run_sweep
 
 
@@ -73,6 +76,20 @@ def test_aut_command(tmp_path, capsys):
     res = json.loads(out)
     assert res["aut"] == 4  # swap the edge ends x swap the two isolated vertices
     assert res["isolated"] == 2
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [words[1:] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if (words := shlex.split(line, comments=True))[:1] == ["eralign"]]
+    assert len(commands) >= 11
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: eralign {shlex.join(argv)}")
 
 
 def test_sweep_flags_and_plot(tmp_path, capsys):
@@ -448,16 +465,13 @@ def test_sweep_refuses_a_huge_n_before_sampling(capsys):
             assert "Traceback" not in err
 
 
-def test_sweep_refuses_a_plot_without_out_before_running(capsys):
-    def no_sweep(cfg):
-        raise AssertionError("the sweep ran")
-
-    with mock.patch("eralign.cli.run_sweep", no_sweep):
-        code, out, err = run_cli(capsys, "sweep", "--n", "5", "--trials", "3", "--c-grid", "1,2",
-                                 "--plot", "x.svg")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "--plot requires --out" in err
+def test_sweep_plots_without_out_and_prints_only_the_csv(capsys, tmp_path):
+    argv = ["sweep", "--n", "5", "--trials", "3", "--c-grid", "1,2"]
+    svg_path = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, *argv, "--plot", str(svg_path))
+    assert code == 0, err
+    assert svg_path.read_text().startswith("<svg")
+    assert (0, out, "") == run_cli(capsys, *argv)
 
 
 def test_sweep_refuses_an_unwritable_out_or_plot_before_running(capsys, tmp_path):
@@ -470,6 +484,9 @@ def test_sweep_refuses_an_unwritable_out_or_plot_before_running(capsys, tmp_path
         (["--out", str(tmp_path)], "is a directory"),
         (["--out", str(tmp_path / "x.csv"), "--plot", f"{missing}/x.svg"], "no directory"),
         (["--out", str(tmp_path / "x.csv"), "--plot", str(tmp_path)], "is a directory"),
+        (["--out", str(tmp_path / "x.csv"), "--plot", f"{tmp_path}/./x.csv"], "out path"),
+        (["--out", ""], "empty path"),
+        (["--plot", ""], "empty path"),
     )
     with mock.patch("eralign.cli.run_sweep", no_sweep):
         for flags, reason in cases:

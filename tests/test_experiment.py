@@ -362,6 +362,16 @@ def test_sweep_config_refuses_non_integers_and_non_path_out():
         SweepConfig(n=6, trials=1, seed=1, grid=CGrid((1.0,)), out=5)
 
 
+def test_sweep_config_refuses_an_out_in_a_missing_directory(tmp_path):
+    # refused when the config is built, so no trial of the sweep ever runs
+    out = str(tmp_path / "missing" / "x.csv")
+    d = {"n": 5, "trials": 2, "grid": {"kind": "c_grid", "c": [1]}, "out": out}
+    with pytest.raises(ConfigError, match="no directory"):
+        SweepConfig.from_dict(d)
+    with pytest.raises(ConfigError, match="no directory"):
+        SweepConfig(n=5, trials=2, seed=0, grid=CGrid((1.0,)), out=out)
+
+
 def test_subsampling_grid_cells():
     grid = SubsamplingGrid(r=(0.5,), sa=(1.0,), sb=(1.0, 0.5))
     cells = grid.cells(6)
@@ -387,19 +397,10 @@ def test_subsampling_grid_from_config():
 # ---------------------------------------------------------------------------
 # emit_plot
 
-def _tiny_sweep_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    cfg = SweepConfig(
-        n=9, trials=2, seed=2, grid=CGrid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0)), out=str(out)
-    )
-    run_sweep(cfg)
-    return out
-
-
 def test_emit_plot_six_cells(tmp_path):
-    csv_path = _tiny_sweep_csv(tmp_path)
+    cfg = SweepConfig(n=9, trials=2, seed=2, grid=CGrid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0)))
     svg_path = tmp_path / "plot.svg"
-    svg = emit_plot(csv_path, svg_path)
+    svg = emit_plot(run_sweep(cfg).rows, svg_path)
     assert svg_path.exists()
     assert svg.count("<circle") == 6
     assert svg.count("<polyline") == 1
@@ -408,44 +409,10 @@ def test_emit_plot_six_cells(tmp_path):
 
 
 def test_emit_plot_empty_rows(tmp_path):
-    csv_path = tmp_path / "empty.csv"
-    csv_path.write_text(CSV_HEADER + "\n")
-    svg = emit_plot(csv_path, tmp_path / "empty.svg")
+    svg = emit_plot((), tmp_path / "empty.svg")
     assert svg.startswith("<svg")
     assert 'class="threshold-ref"' in svg
     assert "<circle" not in svg
-
-
-def test_emit_plot_header_mismatch(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError, match="line 1"):
-        emit_plot(bad, tmp_path / "x.svg")
-
-
-def test_emit_plot_bad_value_reports_line(tmp_path):
-    bad = tmp_path / "bad2.csv"
-    # a bad value, n = 1 and n = 0, then p11 = nan, strict_rate = inf and trials = -3
-    for row in ("6,0.1,0.0,0.0,0.9,4,zap,0.0,1.0,1.0,2", "1,0.1,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2",
-                "0,0.1,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2", "6,nan,0.0,0.0,0.9,4,0.5,0.0,1.0,1.0,2",
-                "6,0.1,0.0,0.0,0.9,4,inf,0.0,1.0,1.0,2", "6,0.1,0.0,0.0,0.9,-3,0.5,0.0,1.0,1.0,2"):
-        bad.write_text(CSV_HEADER + "\n" + row + "\n")
-        with pytest.raises(ConfigError, match="line 2"):
-            emit_plot(bad, tmp_path / "x.svg")
-
-
-def test_emit_plot_field_count(tmp_path):
-    bad = tmp_path / "bad3.csv"
-    bad.write_text(CSV_HEADER + "\n6,0.1,0.0\n")
-    with pytest.raises(ConfigError, match="line 2"):
-        emit_plot(bad, tmp_path / "x.svg")
-
-
-def test_emit_plot_refuses_a_csv_that_is_not_utf8(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"\xff\xfe\x00bad")
-    with pytest.raises(ConfigError, match="not UTF-8"):
-        emit_plot(bad, tmp_path / "x.svg")
 
 
 # ---------------------------------------------------------------------------
